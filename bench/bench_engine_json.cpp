@@ -152,12 +152,12 @@ Row measure(Vertex n, std::size_t m, UsageCost model, bool measure_naive) {
   row.width = dist_width_name(engine_auto.preferred_width());
   row.width_fallbacks = engine_auto.width_fallbacks() / reps;  // per-certification count
 
-  const SwapEngine engine_u8(g, WidthPolicy::ForceU8);
+  const SwapEngine engine_u8(g, {.width = WidthPolicy::ForceU8});
   EquilibriumCertificate cert_u8;
   row.u8_seconds = time_repeated([&] { cert_u8 = engine_u8.certify(model, deletions); });
   check(cert, cert_u8, "engine auto/u8");
 
-  const SwapEngine engine_u16(g, WidthPolicy::ForceU16);
+  const SwapEngine engine_u16(g, {.width = WidthPolicy::ForceU16});
   EquilibriumCertificate cert_u16;
   row.u16_seconds = time_repeated([&] { cert_u16 = engine_u16.certify(model, deletions); });
   check(cert, cert_u16, "engine auto/u16");
@@ -401,7 +401,7 @@ RowCacheRow measure_row_cache(std::string instance, const Graph& g, UsageCost mo
   budgeted_res.mem_budget = static_cast<std::uint64_t>(lanes) * n * n;
   row.budget_bytes = static_cast<std::uint64_t>(n) * n;
 
-  const SwapEngine dense_engine(g, WidthPolicy::ForceU16);
+  const SwapEngine dense_engine(g, {.width = WidthPolicy::ForceU16});
   const SwapEngine budgeted_engine(g, budgeted_res);
   if (budgeted_engine.budget_policy().storage_for(n, DistWidth::U16) != RowStorage::Budgeted) {
     std::cerr << "FATAL: row_cache bench budget did not force budgeted storage at n=" << n

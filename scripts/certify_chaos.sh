@@ -182,7 +182,7 @@ scenario_mixed() {
   reference_certificate
 
   timeout 240 "$bin" serve --graph "$graph" --listen "$sock" --shards "$shards" \
-    --lease-ms "$lease_ms" --backoff-ms 20 \
+    --lease-ms "$lease_ms" --backoff-ms 20 --certs-dir "$work_dir/certs" \
     >"$work_dir/served.txt" 2>"$work_dir/serve.log" &
   local serve_pid=$!
   pids+=("$serve_pid")
@@ -198,7 +198,7 @@ scenario_mixed() {
     cat "$work_dir/serve.log" >&2 || true
     exit 1
   fi
-  expect_parity "$work_dir/served.txt" "mixed chaos"
+  expect_parity "$work_dir/certs/session_1.cert" "mixed chaos"
   grep -E "serve: done complete=1" "$work_dir/serve.log" >/dev/null || {
     echo "certify_chaos: missing completion stats line in serve log" >&2
     exit 1
@@ -251,7 +251,7 @@ scenario_resume() {
   # Phase 2: resume from the journal with an honest worker; the killed
   # run's records must be reused verbatim, never recomputed or rewritten.
   timeout 240 "$bin" serve --graph "$graph" --listen "$sock" --shards "$shards" \
-    --lease-ms "$lease_ms" --journal "$journal" --resume \
+    --lease-ms "$lease_ms" --journal "$journal" --resume --certs-dir "$work_dir/certs" \
     >"$work_dir/resumed.txt" 2>"$work_dir/serve2.log" &
   serve_pid=$!
   pids+=("$serve_pid")
@@ -267,7 +267,7 @@ scenario_resume() {
     cat "$work_dir/serve2.log" >&2 || true
     exit 1
   fi
-  expect_parity "$work_dir/resumed.txt" "journal resume"
+  expect_parity "$work_dir/certs/session_1.cert" "journal resume"
   grep -E "serve: journal resumed=${prekill_count}/${shards}" "$work_dir/serve2.log" >/dev/null || {
     echo "certify_chaos: dispatcher did not resume the $prekill_count journaled range(s)" >&2
     cat "$work_dir/serve2.log" >&2 || true

@@ -65,19 +65,12 @@ struct ShardedCertifyConfig {
   /// shard once any violation is found. Witness/moves become
   /// schedule-dependent; is_equilibrium stays deterministic.
   bool stop_on_violation = false;
-  /// DEPRECATED (one PR): pre-ResourceConfig width knob, honored only while
-  /// resources.width stays Auto. Use resources.width instead.
-  WidthPolicy width = WidthPolicy::Auto;
   /// Width + memory budget of the underlying engine
   /// (core/dist_provider.hpp). A budget below the dense n×n slab switches
   /// the per-agent scans to the blocked row cache — same certificate bytes,
   /// bounded memory; how certification reaches n = 2¹⁷ and beyond.
   ResourceConfig resources;
 };
-
-/// Effective engine resources of a sharded config: resources, with the
-/// deprecated width field taking over while resources.width is Auto.
-[[nodiscard]] ResourceConfig resolved_resources(const ShardedCertifyConfig& config);
 
 /// Outcome of certify_sharded: the standard certificate plus the sharding
 /// and width telemetry the benches record.

@@ -1,33 +1,30 @@
 // Distance-row provider + the width-and-budget policy — the one interface
 // behind "how do I get distance rows, and under what memory budget".
 //
-// Before this layer, every tier answered that question by convention:
-// SwapEngine allocated a full n×n masked matrix per scan, SearchState its
-// n·deg row slabs, certify_sharded copied the engine's width knob, the svc
-// worker another, and nothing said how much memory a scan was allowed to
-// use. ResourceConfig makes the answer explicit and shared:
+// ResourceConfig is the single resource knob of every scan tier (SwapEngine,
+// SearchState, the sharded certifier, the svc worker, the Instance facade):
 //
 //   width      — the storage-width preference (graph/dist_width.hpp),
 //   mem_budget — a byte budget for distance-row storage (0 = take
-//                BNCG_MEM_BUDGET from the environment; unset = unlimited),
-//   force_naive— route the accelerated tiers to the exact naive oracles
-//                (OR-ed with BNCG_FORCE_NAIVE, the historical env toggle).
+//                BNCG_MEM_BUDGET from the environment; unset = unlimited).
+//
+// Routing to the exact naive oracles is not a resource decision: it is the
+// process-wide BNCG_FORCE_NAIVE toggle (force_naive_requested(),
+// core/swap_engine.hpp).
 //
 // WidthAndBudgetPolicy turns a ResourceConfig into the two decisions the
-// scan tiers need: which width to prefer (absorbing the diameter probe that
-// lived in SwapEngine::rebuild and the matrix-driven
-// DistanceMatrix::recommended_width()), and whether a dense n×n scan slab
-// fits the per-lane budget share — when it does not, the scan runs in
-// BUDGETED mode against the blocked row cache (graph/row_cache.hpp), where
-// rows materialize on demand by exact BFS and an eccentricity/landmark
-// bound proves most rows can never affect the verdict, so they are never
-// materialized (DESIGN.md §16). Both modes are exact; the differential
-// suite (tests/test_row_cache.cpp) pins byte-parity.
+// scan tiers need: which width to prefer (one capped BFS probe), and
+// whether a dense n×n scan slab fits the per-lane budget share — when it
+// does not, the scan runs in BUDGETED mode against the blocked row cache
+// (graph/row_cache.hpp), where rows materialize on demand by exact BFS and
+// an eccentricity/landmark bound proves most rows can never affect the
+// verdict, so they are never materialized (DESIGN.md §16). Both modes are
+// exact; the differential suite (tests/test_row_cache.cpp) pins byte-parity.
 //
 // DistanceProvider<Dist> is the uniform row source of one agent scan:
 // dense mode materializes the full masked matrix up front (the small-n
-// fast path, bit-identical to the historical scan), budgeted mode opens a
-// row-cache context and serves rows lazily under the budget.
+// fast path), budgeted mode opens a row-cache context and serves rows
+// lazily under the budget.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +39,7 @@
 namespace bncg {
 
 /// The shared resource knobs of every scan tier (engine, search state,
-/// sharded certifier, svc worker, facade). Replaces the per-config
-/// width/naive toggles that AnnealConfig, DynamicsConfig, and the worker
-/// ConnectConfig each grew separately.
+/// sharded certifier, svc worker, facade).
 struct ResourceConfig {
   /// Distance storage width preference; results are width-independent.
   WidthPolicy width = WidthPolicy::Auto;
@@ -53,9 +48,6 @@ struct ResourceConfig {
   /// is unset too, storage is unlimited and every tier keeps its dense
   /// fast path. The budget is shared evenly across scan lanes.
   std::uint64_t mem_budget = 0;
-  /// Route the public certifier tiers to the exact naive oracles (OR-ed
-  /// with the BNCG_FORCE_NAIVE environment toggle).
-  bool force_naive = false;
 };
 
 /// Parses a byte count with optional binary suffix: "1073741824", "512K",
@@ -89,10 +81,9 @@ class WidthAndBudgetPolicy {
   /// Per-lane budget share (0 = unlimited).
   [[nodiscard]] std::uint64_t lane_budget() const noexcept { return lane_budget_; }
 
-  /// Exact width for a known maximum finite distance — the policy form of
-  /// the retired DistanceMatrix::recommended_width(): callers already
-  /// holding a matrix (or a diameter) seed Force policies from it instead
-  /// of re-probing (search.cpp / dynamics.cpp / metrics-driven sites).
+  /// Exact width for a known maximum finite distance: callers already
+  /// holding a matrix (DistanceMatrix::max_finite_distance) or a diameter
+  /// seed Force policies from it instead of re-probing (search.cpp).
   [[nodiscard]] static DistWidth width_for_max_distance(std::uint64_t max_distance) noexcept {
     return max_distance <= kMaxFiniteFor<std::uint8_t> ? DistWidth::U8 : DistWidth::U16;
   }

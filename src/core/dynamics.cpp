@@ -30,13 +30,11 @@ class MoveProvider {
       : config_(config),
         use_state_(search_state_enabled(g)),
         use_engine_(!use_state_ && swap_engine_enabled(g)) {
-    const WidthPolicy width =
-        config.resources.width != WidthPolicy::Auto ? config.resources.width : config.dist_width;
     if (use_state_) {
       state_.emplace(g, config.cost,
                      /*include_deletions=*/config.cost == UsageCost::Max &&
                          config.allow_neutral_deletions,
-                     /*parallel=*/true, width);
+                     /*parallel=*/true, config.resources.width);
     } else if (use_engine_) {
       engine_.emplace(g, config.resources);
     }

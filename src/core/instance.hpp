@@ -2,11 +2,8 @@
 //
 // Everything an application wants from this library is a question about one
 // graph: is it an equilibrium, what does best-response dynamics do to it,
-// what are its observables. Before this facade every caller hand-wired the
-// answer out of engine/state/width/thread parts (build a SwapEngine, pick a
-// WidthPolicy, choose certify_sharded vs certify_*_equilibrium, thread a
-// seed through DynamicsConfig); the parts still exist — the facade owns the
-// wiring so examples/ and tools/ do not.
+// what are its observables. The facade owns the wiring of engine, state,
+// resources and seeds so examples/ and tools/ do not:
 //
 //   Instance inst = Instance::gnm(1000, 2000, /*seed=*/42);
 //   RunConfig run;
@@ -19,9 +16,9 @@
 // equilibrium question exhaustively (sharded over the thread pool, dense
 // or budgeted row storage per ResourceConfig), `equilibrate` runs
 // best-response dynamics under the same model/resources until equilibrium
-// or budget. The pre-facade free functions (certify_sharded, run_dynamics,
-// certify_sum_equilibrium, …) remain the thin compatibility surface for
-// one PR; new code should start here.
+// or budget. The free functions underneath (certify_sharded, run_dynamics,
+// certify_sum_equilibrium, …) are the engine API this facade calls; they
+// stay public for callers that need a knob RunConfig does not carry.
 #pragma once
 
 #include <cstdint>

@@ -108,8 +108,7 @@ std::optional<Graph> anneal_equilibrium(Graph start, const AnnealConfig& config,
     // policy (ForceU8 exactly when the target diameter fits the narrow
     // encoding) instead of the state's own ecc(0) screen — one less probe,
     // identical trajectories (saturation still promotes exactly).
-    WidthPolicy width =
-        config.resources.width != WidthPolicy::Auto ? config.resources.width : config.dist_width;
+    WidthPolicy width = config.resources.width;
     if (width == WidthPolicy::Auto) {
       width = WidthAndBudgetPolicy::policy_for_max_distance(config.target_diameter);
     }

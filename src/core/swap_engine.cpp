@@ -144,16 +144,6 @@ bool swap_engine_enabled(const Graph& g) {
   return !force_naive_requested() && g.num_vertices() <= kSwapEngineAutoMaxVertices;
 }
 
-void SwapEngine::rebuild(const Graph& g, WidthPolicy width) {
-  resources_.width = width;
-  rebuild(g);
-}
-
-void SwapEngine::rebuild(const Graph& g, const ResourceConfig& resources) {
-  resources_ = resources;
-  rebuild(g);
-}
-
 void SwapEngine::rebuild(const Graph& g) {
   csr_.rebuild(g);
   width_fallbacks_.store(0, std::memory_order_relaxed);

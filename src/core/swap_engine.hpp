@@ -38,8 +38,16 @@
 // Scans enumerate candidates in exactly the naive order and apply exactly
 // the naive acceptance rules, so engine results are bit-identical to the
 // brute-force oracle (differential-tested on hundreds of random instances —
-// across widths too, see tests/test_width_fuzz.cpp; set BNCG_FORCE_NAIVE=1
-// to route the public certifier API back to the oracle).
+// across widths too, see tests/test_width_fuzz.cpp).
+//
+// BNCG_FORCE_NAIVE=1 routes the auto-selecting entry points back to the
+// oracles: the free certifiers and deviation finders (core/equilibrium),
+// the k-move checks (core/kstability), ClassicGame, the tree game, the
+// lemma checks, the unrest measures, anneal's Auto evaluation, and
+// run_dynamics (hence Instance::equilibrate). It does NOT route anything
+// that builds a SwapEngine explicitly: certify_sharded (hence
+// Instance::certify), certify_agent_range, and every bncg_certify mode
+// (worker, serve, certify) always run the engine.
 #pragma once
 
 #include <atomic>
@@ -70,8 +78,8 @@ namespace bncg {
 inline constexpr Vertex kSwapEngineAutoMaxVertices = 4096;
 
 /// True iff BNCG_FORCE_NAIVE is set (read once per process): every
-/// accelerated tier — SwapEngine and SearchState alike — must consult this
-/// one helper so the env var toggles them together.
+/// auto-selecting tier — swap_engine_enabled, search_state_enabled, the tree
+/// game — consults this one helper so the env var toggles them together.
 [[nodiscard]] bool force_naive_requested();
 
 /// True when the engine should back the public certifier entry points:
@@ -153,31 +161,22 @@ class SwapEngine {
     Rows<std::uint16_t> rows16_;
   };
 
-  /// Snapshots `g`. The width policy governs which storage width scans
-  /// *prefer* (graph/dist_width.hpp); results are width-independent.
-  /// Unlimited-memory construction: per-scan storage is the dense n×n
-  /// matrix whenever n < 65535 (the historical behavior, requiring that
-  /// bound); larger instances automatically run budgeted scans.
-  explicit SwapEngine(const Graph& g, WidthPolicy width = WidthPolicy::Auto) {
-    rebuild(g, width);
+  /// Snapshots `g` under `resources` (core/dist_provider.hpp): scans prefer
+  /// the storage width resources.width allows (graph/dist_width.hpp), and
+  /// any width whose dense n×n slab would exceed the per-lane share of the
+  /// memory budget runs BUDGETED — distance rows materialize on demand in
+  /// the blocked row cache instead of up front. Instances at n ≥ 65535,
+  /// beyond the dense scan's 16-bit encoding, always run budgeted. Both
+  /// modes and every width are exact: resources change speed and memory,
+  /// never results.
+  explicit SwapEngine(const Graph& g, const ResourceConfig& resources = {})
+      : resources_(resources) {
+    rebuild(g);
   }
 
-  /// Budget-aware construction (core/dist_provider.hpp): scan widths follow
-  /// resources.width, and any width whose dense n×n slab would exceed the
-  /// per-lane share of resources.mem_budget runs BUDGETED — distance rows
-  /// materialize on demand in the blocked row cache instead of up front.
-  /// Both modes are exact; the budget changes memory, never results.
-  SwapEngine(const Graph& g, const ResourceConfig& resources) { rebuild(g, resources); }
-
   /// Re-snapshots after an accepted move (storage reused, width preference
-  /// re-probed under the current policy).
+  /// re-probed under the engine's resources).
   void rebuild(const Graph& g);
-
-  /// Re-snapshots and changes the width policy.
-  void rebuild(const Graph& g, WidthPolicy width);
-
-  /// Re-snapshots and changes the resource configuration.
-  void rebuild(const Graph& g, const ResourceConfig& resources);
 
   [[nodiscard]] const ResourceConfig& resources() const noexcept { return resources_; }
   /// The resolved width/storage decisions scans run under.

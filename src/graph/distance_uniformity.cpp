@@ -6,17 +6,6 @@ namespace bncg {
 
 namespace {
 
-/// Max distance present in the matrix (0 for empty/singleton graphs).
-[[nodiscard]] Vertex max_finite_distance(const DistanceMatrix& dm) {
-  Vertex max_d = 0;
-  for (Vertex u = 0; u < dm.size(); ++u) {
-    for (const Vertex d : dm.row(u)) {
-      if (d != kInfDist) max_d = std::max(max_d, d);
-    }
-  }
-  return max_d;
-}
-
 /// Counts vertices w with d(v, w) == r (plus r+1 when `almost`).
 [[nodiscard]] Vertex band_count(const DistanceMatrix& dm, Vertex v, Vertex r, bool almost) {
   Vertex count = 0;
@@ -38,7 +27,7 @@ namespace {
 
 [[nodiscard]] UniformityResult best_impl(const DistanceMatrix& dm, bool almost) {
   UniformityResult best;
-  const Vertex max_d = max_finite_distance(dm);
+  const Vertex max_d = dm.max_finite_distance();
   for (Vertex r = 0; r <= max_d; ++r) {
     const double eps = epsilon_impl(dm, r, almost);
     if (eps < best.epsilon) {
@@ -69,7 +58,7 @@ UniformityResult best_almost_uniformity(const DistanceMatrix& dm) {
 
 std::vector<Vertex> sphere_sizes(const DistanceMatrix& dm, Vertex v) {
   BNCG_REQUIRE(v < dm.size(), "vertex id out of range");
-  const Vertex max_d = max_finite_distance(dm);
+  const Vertex max_d = dm.max_finite_distance();
   std::vector<Vertex> sizes(static_cast<std::size_t>(max_d) + 1, 0);
   for (const Vertex d : dm.row(v)) {
     if (d != kInfDist) ++sizes[d];
@@ -87,7 +76,7 @@ PairUniformity best_pair_uniformity(const DistanceMatrix& dm, bool almost) {
   PairUniformity best;
   const Vertex n = dm.size();
   if (n < 2) return best;
-  const Vertex max_d = max_finite_distance(dm);
+  const Vertex max_d = dm.max_finite_distance();
   std::vector<std::uint64_t> count(static_cast<std::size_t>(max_d) + 2, 0);
   for (Vertex u = 0; u < n; ++u) {
     for (const Vertex d : dm.row(u)) {

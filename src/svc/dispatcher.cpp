@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/certify_wire.hpp"
-#include "graph/io.hpp"
 #include "svc/net.hpp"
 #include "svc/protocol.hpp"
 #include "svc/sink.hpp"
@@ -120,14 +119,12 @@ class Dispatcher {
     return total;
   }
 
-  /// Queues every job spec and, on --resume without the flat layout,
-  /// every session journal found under the root (crash recovery must not
-  /// depend on the operator re-listing every job).
+  /// Queues every job spec and, on --resume, every session journal found
+  /// under the root (crash recovery must not depend on the operator
+  /// re-listing every job).
   void prepare() {
-    BNCG_REQUIRE(!config_.flat_journal || jobs_.size() == 1,
-                 "serve: flat journal layout requires exactly one job");
     for (const JobSpec& job : jobs_) (void)queue_job(job);
-    if (config_.resume && !config_.flat_journal && !config_.journal_root.empty()) {
+    if (config_.resume && !config_.journal_root.empty()) {
       for (const std::string& dir : ShardJournal::list_session_dirs(config_.journal_root)) {
         const JournalHeader h = ShardJournal::open(dir, /*keep_records=*/false).header();
         if (find_session(h) != kNoSession) continue;  // a spec already queued it
@@ -178,7 +175,7 @@ class Dispatcher {
   /// existing session). Opens/creates its journal (durable sink) or a
   /// throwaway spool, and recovers completed ranges on --resume.
   std::size_t queue_job(const JobSpec& job) {
-    JournalHeader h = resolved_header(job);
+    const JournalHeader h = resolved_header(job);
     {
       const std::size_t existing = find_session(h);
       if (existing != kNoSession) return existing;
@@ -186,9 +183,7 @@ class Dispatcher {
 
     std::optional<ShardJournal> journal;
     if (!config_.journal_root.empty()) {
-      const std::string dir = config_.flat_journal
-                                  ? config_.journal_root
-                                  : config_.journal_root + "/" + ShardJournal::session_dir_name(h);
+      const std::string dir = config_.journal_root + "/" + ShardJournal::session_dir_name(h);
       if (config_.resume) {
         try {
           journal.emplace(ShardJournal::open(dir, /*keep_records=*/false));
@@ -200,16 +195,13 @@ class Dispatcher {
         const JournalHeader& jh = journal->header();
         BNCG_REQUIRE(jh.fingerprint == h.fingerprint && jh.n == h.n && jh.m == h.m,
                      "serve: journal belongs to a different instance");
+        // The directory key covers the shard count too, so a journal whose
+        // split differs is as foreign as one with another model: a new
+        // --shards value names a new session, never a re-split of this one.
         BNCG_REQUIRE(jh.model == h.model && jh.include_deletions == h.include_deletions &&
-                         jh.stop_on_violation == h.stop_on_violation,
+                         jh.stop_on_violation == h.stop_on_violation &&
+                         jh.shard_count == h.shard_count,
                      "serve: journal belongs to a different run configuration");
-        // The journal's split is authoritative: ranges must match the
-        // records byte for byte, so a --shards override is ignored on
-        // resume.
-        if (jh.shard_count != h.shard_count) {
-          say("serve: journal pins shard count " + std::to_string(jh.shard_count));
-          h.shard_count = jh.shard_count;
-        }
       } else {
         journal.emplace(ShardJournal::create(dir, h));
         say("serve: journaling to " + dir);
@@ -247,8 +239,8 @@ class Dispatcher {
     }
     if (config_.resume && s.durable) {
       say("serve: journal resumed=" + std::to_string(s.resumed) + "/" + std::to_string(shards) +
-          " ranges (skipped_corrupt=" + std::to_string(s.sink->skipped_corrupt()) + ")" +
-          (config_.flat_journal ? "" : " session=" + std::to_string(s.id)));
+          " ranges (skipped_corrupt=" + std::to_string(s.sink->skipped_corrupt()) +
+          ") session=" + std::to_string(s.id));
     }
     if (s.completed_count == s.ranges.size()) {
       s.st = Session::St::Complete;
@@ -855,38 +847,6 @@ MultiServeOutcome serve_jobs(const std::vector<JobSpec>& jobs, const MultiServeC
                "serve: --resume requires a journal directory");
   Dispatcher dispatcher(jobs, config, log);
   return dispatcher.run();
-}
-
-ServeOutcome serve_certification(const Graph& g, const ServeConfig& config, std::ostream* log) {
-  BNCG_REQUIRE(g.num_vertices() >= 1, "serve: empty instance");
-  JobSpec job;
-  job.fingerprint = graph_fingerprint(g);
-  job.n = g.num_vertices();
-  job.m = g.num_edges();
-  job.model = config.model;
-  job.include_deletions = config.include_deletions;
-  job.stop_on_violation = config.stop_on_violation;
-  job.shards = config.shards;
-
-  MultiServeConfig multi;
-  multi.address = config.address;
-  multi.lease_ms = config.lease_ms;
-  multi.max_retries = config.max_retries;
-  multi.backoff_ms = config.backoff_ms;
-  multi.journal_root = config.journal_dir;
-  multi.resume = config.resume;
-  multi.flat_journal = true;  // PR6 layout: journal_dir IS the session dir
-  multi.accept_submissions = 0;
-
-  MultiServeOutcome outcome = serve_jobs({job}, multi, log);
-  ServeOutcome out;
-  out.stats = outcome.stats;
-  SessionOutcome& s = outcome.sessions.front();
-  out.complete = s.complete;
-  out.certificate = std::move(s.certificate);
-  out.quarantined = std::move(s.quarantined);
-  out.agents_uncovered = s.agents_uncovered;
-  return out;
 }
 
 }  // namespace bncg::svc

@@ -50,6 +50,16 @@ void expect_same_certificate(const EquilibriumCertificate& got,
 
 void nap() { std::this_thread::sleep_for(std::chrono::milliseconds(25)); }
 
+[[nodiscard]] JobSpec job_for(const Graph& g, UsageCost model, std::size_t shards) {
+  JobSpec job;
+  job.fingerprint = graph_fingerprint(g);
+  job.n = g.num_vertices();
+  job.m = g.num_edges();
+  job.model = model;
+  job.shards = shards;
+  return job;
+}
+
 class SvcDispatcherTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -140,18 +150,31 @@ class SvcDispatcherTest : public ::testing::Test {
     });
   }
 
-  [[nodiscard]] ServeOutcome serve(const ServeConfig& config) {
-    return serve_certification(g_, config, nullptr);
+  /// Journal directory the dispatcher keys `job`'s session to under `root`.
+  [[nodiscard]] static std::string keyed_dir(const std::string& root, const JobSpec& job) {
+    JournalHeader header;
+    header.fingerprint = job.fingerprint;
+    header.n = job.n;
+    header.m = job.m;
+    header.model = job.model;
+    header.include_deletions = job.include_deletions;
+    header.stop_on_violation = job.stop_on_violation;
+    header.shard_count = static_cast<std::uint32_t>(job.shards);
+    return root + "/" + ShardJournal::session_dir_name(header);
   }
 
-  void expect_parity(const ServeOutcome& outcome, UsageCost model, bool deletions,
-                     const std::string& context) {
-    ASSERT_TRUE(outcome.complete) << context;
-    ASSERT_TRUE(outcome.certificate.has_value()) << context;
+  /// `outcome`'s session `index` is complete and byte-for-byte the
+  /// single-process certificate of g_ under its own run configuration.
+  void expect_parity(const MultiServeOutcome& outcome, const std::string& context,
+                     std::size_t index = 0) {
+    ASSERT_LT(index, outcome.sessions.size()) << context;
+    const SessionOutcome& s = outcome.sessions[index];
+    ASSERT_TRUE(s.complete) << context;
+    ASSERT_TRUE(s.certificate.has_value()) << context;
     const SwapEngine engine(g_);
-    expect_same_certificate(outcome.certificate->certificate, engine.certify(model, deletions),
-                            context);
-    EXPECT_EQ(outcome.certificate->agents_scanned, g_.num_vertices()) << context;
+    expect_same_certificate(s.certificate->certificate,
+                            engine.certify(s.header.model, s.header.include_deletions), context);
+    EXPECT_EQ(s.certificate->agents_scanned, g_.num_vertices()) << context;
   }
 
   std::string dir_;
@@ -161,15 +184,14 @@ class SvcDispatcherTest : public ::testing::Test {
 };
 
 TEST_F(SvcDispatcherTest, HonestWorkersReproduceTheCertificate) {
-  ServeConfig config;
+  MultiServeConfig config;
   config.address = socket_address("honest");
-  config.shards = 6;
-  config.model = UsageCost::Max;
-  config.include_deletions = true;
+  JobSpec job = job_for(g_, UsageCost::Max, 6);
+  job.include_deletions = true;
   spawn_worker(g_, {.address = config.address});
   spawn_worker(g_, {.address = config.address});
-  const ServeOutcome outcome = serve(config);
-  expect_parity(outcome, UsageCost::Max, true, "two honest workers");
+  const MultiServeOutcome outcome = serve_jobs({job}, config);
+  expect_parity(outcome, "two honest workers");
   EXPECT_EQ(outcome.stats.redispatches, 0u);
   EXPECT_EQ(outcome.stats.corrupt_results, 0u);
   EXPECT_GE(outcome.stats.workers_connected, 1u);  // one may arrive post-finish
@@ -180,9 +202,8 @@ TEST_F(SvcDispatcherTest, WrongInstanceWorkerRefusedAtHandshake) {
   Xoshiro256ss rng(0xBAD);
   const Graph wrong = random_connected_gnm(48, 120, rng);
   ASSERT_NE(graph_fingerprint(wrong), graph_fingerprint(g_));
-  ServeConfig config;
+  MultiServeConfig config;
   config.address = socket_address("refuse");
-  config.shards = 3;
 
   // The honest worker starts only after the wrong-instance worker has
   // been refused, so the refusal can never race the run's completion.
@@ -204,8 +225,8 @@ TEST_F(SvcDispatcherTest, WrongInstanceWorkerRefusedAtHandshake) {
   });
   spawn_worker(g_, {.address = config.address}, &refused);
 
-  const ServeOutcome outcome = serve(config);
-  expect_parity(outcome, UsageCost::Sum, false, "refusal then honest completion");
+  const MultiServeOutcome outcome = serve_jobs({job_for(g_, UsageCost::Sum, 3)}, config);
+  expect_parity(outcome, "refusal then honest completion");
   join_workers();
   ASSERT_TRUE(wrong_report.has_value());
   EXPECT_TRUE(wrong_report->refused);
@@ -215,24 +236,22 @@ TEST_F(SvcDispatcherTest, WrongInstanceWorkerRefusedAtHandshake) {
 }
 
 TEST_F(SvcDispatcherTest, DisconnectMidLeaseIsRedispatched) {
-  ServeConfig config;
+  MultiServeConfig config;
   config.address = socket_address("drop");
-  config.shards = 4;
   config.backoff_ms = 10;
   std::atomic<bool> dropped{false};
   spawn_lease_dropper(config.address, dropped);
   spawn_worker(g_, {.address = config.address}, &dropped);
-  const ServeOutcome outcome = serve(config);
-  expect_parity(outcome, UsageCost::Sum, false, "disconnect re-dispatch");
+  const MultiServeOutcome outcome = serve_jobs({job_for(g_, UsageCost::Sum, 4)}, config);
+  expect_parity(outcome, "disconnect re-dispatch");
   EXPECT_GE(outcome.stats.disconnects, 1u);
   EXPECT_GE(outcome.stats.redispatches, 1u);
   EXPECT_GE(outcome.stats.leases_granted, 5u);
 }
 
 TEST_F(SvcDispatcherTest, ExpiredLeaseIsStolenByHonestWorker) {
-  ServeConfig config;
+  MultiServeConfig config;
   config.address = socket_address("hang");
-  config.shards = 4;
   config.lease_ms = 400;  // the hang worker sleeps ~850 ms past its grant
   config.backoff_ms = 10;
   ConnectConfig hanging;
@@ -246,41 +265,41 @@ TEST_F(SvcDispatcherTest, ExpiredLeaseIsStolenByHonestWorker) {
   slowed.chaos.mode = ChaosConfig::Mode::Slow;
   slowed.chaos.delay_ms = 100;
   spawn_worker(g_, slowed);
-  const ServeOutcome outcome = serve(config);
-  expect_parity(outcome, UsageCost::Sum, false, "straggler work stealing");
+  const MultiServeOutcome outcome = serve_jobs({job_for(g_, UsageCost::Sum, 4)}, config);
+  expect_parity(outcome, "straggler work stealing");
   EXPECT_GE(outcome.stats.expired_leases, 1u);
   EXPECT_GE(outcome.stats.redispatches, 1u);
 }
 
 TEST_F(SvcDispatcherTest, CorruptionExhaustsRetriesIntoRefusalNeverAWrongVerdict) {
-  ServeConfig config;
+  MultiServeConfig config;
   config.address = socket_address("corrupt");
-  config.shards = 1;
   config.max_retries = 0;  // first strike quarantines
   ConnectConfig corrupting;
   corrupting.address = config.address;
   corrupting.chaos.mode = ChaosConfig::Mode::CorruptAll;
   corrupting.chaos.seed = 7;
   spawn_worker(g_, corrupting);
-  const ServeOutcome outcome = serve(config);
-  EXPECT_FALSE(outcome.complete);
-  EXPECT_FALSE(outcome.certificate.has_value());
-  ASSERT_EQ(outcome.quarantined.size(), 1u);
-  EXPECT_EQ(outcome.quarantined.front().failures, 1u);
-  EXPECT_EQ(outcome.agents_uncovered, g_.num_vertices());
+  const MultiServeOutcome outcome = serve_jobs({job_for(g_, UsageCost::Sum, 1)}, config);
+  ASSERT_EQ(outcome.sessions.size(), 1u);
+  const SessionOutcome& session = outcome.sessions.front();
+  EXPECT_FALSE(session.complete);
+  EXPECT_FALSE(session.certificate.has_value());
+  ASSERT_EQ(session.quarantined.size(), 1u);
+  EXPECT_EQ(session.quarantined.front().failures, 1u);
+  EXPECT_EQ(session.agents_uncovered, g_.num_vertices());
   EXPECT_GE(outcome.stats.corrupt_results, 1u);
 }
 
 TEST_F(SvcDispatcherTest, DuplicateResultsAreCountedNotDoubleFolded) {
-  ServeConfig config;
+  MultiServeConfig config;
   config.address = socket_address("dup");
-  config.shards = 5;
   ConnectConfig duplicating;
   duplicating.address = config.address;
   duplicating.chaos.mode = ChaosConfig::Mode::Duplicate;
   spawn_worker(g_, duplicating);
-  const ServeOutcome outcome = serve(config);
-  expect_parity(outcome, UsageCost::Sum, false, "double-sent results");
+  const MultiServeOutcome outcome = serve_jobs({job_for(g_, UsageCost::Sum, 5)}, config);
+  expect_parity(outcome, "double-sent results");
   // The final range's duplicate may race the dispatcher's own shutdown;
   // every earlier one must have been seen and ignored.
   EXPECT_GE(outcome.stats.duplicate_results, 4u);
@@ -288,20 +307,20 @@ TEST_F(SvcDispatcherTest, DuplicateResultsAreCountedNotDoubleFolded) {
 }
 
 TEST_F(SvcDispatcherTest, JournalResumeRecomputesNothingAlreadyCertified) {
-  ServeConfig config;
+  MultiServeConfig config;
   config.address = socket_address("journal");
-  config.shards = 5;
-  config.journal_dir = dir_ + "/journal";
+  config.journal_root = dir_ + "/journal";
+  const JobSpec job = job_for(g_, UsageCost::Sum, 5);
 
-  // Seed the journal exactly as a killed dispatcher would have left it:
-  // a valid session plus two completed ranges.
+  // Seed the job's keyed journal exactly as a killed dispatcher would have
+  // left it: a valid session plus two completed ranges.
   {
     JournalHeader header;
     header.fingerprint = graph_fingerprint(g_);
     header.n = g_.num_vertices();
     header.m = g_.num_edges();
     header.shard_count = 5;
-    ShardJournal journal = ShardJournal::create(config.journal_dir, header);
+    ShardJournal journal = ShardJournal::create(keyed_dir(config.journal_root, job), header);
     const SwapEngine engine(g_);
     for (const std::uint32_t idx : {0u, 3u}) {
       AgentRange range;
@@ -315,8 +334,8 @@ TEST_F(SvcDispatcherTest, JournalResumeRecomputesNothingAlreadyCertified) {
 
   config.resume = true;
   spawn_worker(g_, {.address = config.address});
-  const ServeOutcome outcome = serve(config);
-  expect_parity(outcome, UsageCost::Sum, false, "partial resume");
+  const MultiServeOutcome outcome = serve_jobs({job}, config);
+  expect_parity(outcome, "partial resume");
   EXPECT_EQ(outcome.stats.resumed_ranges, 2u);
   EXPECT_EQ(outcome.stats.leases_granted, 3u);  // only the missing ranges
   EXPECT_EQ(outcome.stats.journaled_ranges, 3u);
@@ -324,28 +343,30 @@ TEST_F(SvcDispatcherTest, JournalResumeRecomputesNothingAlreadyCertified) {
   // Second resume: the journal now covers everything — the dispatcher
   // must finish without granting a single lease (and without a listener:
   // no worker is even spawned).
-  const ServeOutcome replay = serve(config);
-  expect_parity(replay, UsageCost::Sum, false, "full resume");
+  const MultiServeOutcome replay = serve_jobs({job}, config);
+  expect_parity(replay, "full resume");
   EXPECT_EQ(replay.stats.resumed_ranges, 5u);
   EXPECT_EQ(replay.stats.leases_granted, 0u);
 }
 
 TEST_F(SvcDispatcherTest, ResumeRefusesForeignJournal) {
+  // A session.bin planted under the job's own keyed directory whose header
+  // names another instance must be refused, never adopted.
   Xoshiro256ss rng(0xFEED);
   const Graph other = random_connected_gnm(48, 120, rng);
   ASSERT_NE(graph_fingerprint(other), graph_fingerprint(g_));
+  MultiServeConfig config;
+  config.address = socket_address("foreign");
+  config.journal_root = dir_ + "/foreign";
+  config.resume = true;
+  const JobSpec job = job_for(g_, UsageCost::Sum, 2);
   JournalHeader header;
   header.fingerprint = graph_fingerprint(other);
   header.n = other.num_vertices();
   header.m = other.num_edges();
   header.shard_count = 2;
-  { (void)ShardJournal::create(dir_ + "/foreign", header); }
-
-  ServeConfig config;
-  config.address = socket_address("foreign");
-  config.journal_dir = dir_ + "/foreign";
-  config.resume = true;
-  EXPECT_THROW((void)serve(config), std::invalid_argument);
+  { (void)ShardJournal::create(keyed_dir(config.journal_root, job), header); }
+  EXPECT_THROW((void)serve_jobs({job}, config), std::invalid_argument);
 
   // Same instance but a different run configuration is refused too.
   JournalHeader mine;
@@ -354,29 +375,35 @@ TEST_F(SvcDispatcherTest, ResumeRefusesForeignJournal) {
   mine.m = g_.num_edges();
   mine.model = UsageCost::Max;
   mine.shard_count = 2;
-  { (void)ShardJournal::create(dir_ + "/othermodel", mine); }
-  config.journal_dir = dir_ + "/othermodel";
-  EXPECT_THROW((void)serve(config), std::invalid_argument);
+  config.journal_root = dir_ + "/othermodel";
+  { (void)ShardJournal::create(keyed_dir(config.journal_root, job), mine); }
+  EXPECT_THROW((void)serve_jobs({job}, config), std::invalid_argument);
 }
 
-TEST_F(SvcDispatcherTest, ResumePinsTheJournalShardCount) {
-  ServeConfig config;
-  config.address = socket_address("pin");
-  config.shards = 4;
-  config.journal_dir = dir_ + "/pin";
+TEST_F(SvcDispatcherTest, ResumeWithANewShardCountKeepsTheOldSessionBesideTheNew) {
+  // The journal key covers the shard count: resuming with a different
+  // split is a different session. The old one is recovered complete
+  // without a single lease; only the new one needs workers.
+  MultiServeConfig config;
+  config.address = socket_address("reshard");
+  config.journal_root = dir_ + "/reshard";
   spawn_worker(g_, {.address = config.address});
-  const ServeOutcome first = serve(config);
-  expect_parity(first, UsageCost::Sum, false, "journaled run");
+  const MultiServeOutcome first = serve_jobs({job_for(g_, UsageCost::Sum, 4)}, config);
+  expect_parity(first, "journaled run");
   join_workers();
 
-  // Re-serve with a different --shards: the journal's split must win, and
-  // with all 4 ranges recovered no worker is needed at all.
-  config.shards = 9;
   config.resume = true;
-  const ServeOutcome resumed = serve(config);
-  expect_parity(resumed, UsageCost::Sum, false, "resume with shard override");
+  spawn_worker(g_, {.address = config.address});
+  const MultiServeOutcome resumed = serve_jobs({job_for(g_, UsageCost::Sum, 9)}, config);
+  ASSERT_EQ(resumed.sessions.size(), 2u);
+  expect_parity(resumed, "new split", 0);
+  expect_parity(resumed, "recovered split", 1);
+  EXPECT_EQ(resumed.sessions[0].certificate->shards_used, 9u);
+  EXPECT_EQ(resumed.sessions[0].resumed_ranges, 0u);
+  EXPECT_EQ(resumed.sessions[1].certificate->shards_used, 4u);
+  EXPECT_EQ(resumed.sessions[1].resumed_ranges, 4u);
   EXPECT_EQ(resumed.stats.resumed_ranges, 4u);
-  EXPECT_EQ(resumed.certificate->shards_used, 4u);
+  EXPECT_EQ(resumed.stats.leases_granted, 9u);  // none for the recovered session
 }
 
 // --- session multiplexing (serve_jobs) --------------------------------------
@@ -396,16 +423,6 @@ TEST_F(SvcDispatcherTest, RedispatchDelaySaturatesInsteadOfOverflowing) {
   EXPECT_EQ(redispatch_delay_ms(kMaxRedispatchDelayMs / 2, 2), kMaxRedispatchDelayMs / 2 * 2);
   EXPECT_EQ(redispatch_delay_ms(1, 100), 64u);  // exponent clamped at 2^6
   EXPECT_GT(redispatch_delay_ms(1, 1), 0u);
-}
-
-[[nodiscard]] JobSpec job_for(const Graph& g, UsageCost model, std::size_t shards) {
-  JobSpec job;
-  job.fingerprint = graph_fingerprint(g);
-  job.n = g.num_vertices();
-  job.m = g.num_edges();
-  job.model = model;
-  job.shards = shards;
-  return job;
 }
 
 TEST_F(SvcDispatcherTest, SiblingSessionsShareOneWorkerAndBothMatchReference) {
@@ -527,9 +544,8 @@ TEST_F(SvcDispatcherTest, StaleCorruptFrameCountsExactlyOneStrike) {
   // holds the current lease, so neither the corruption nor the resulting
   // close may fail the range again), and the honest worker's re-dispatched
   // result still completes the run.
-  ServeConfig config;
+  MultiServeConfig config;
   config.address = socket_address("onestrike");
-  config.shards = 1;
   config.lease_ms = 300;
   config.backoff_ms = 10;
   config.max_retries = 3;
@@ -567,8 +583,8 @@ TEST_F(SvcDispatcherTest, StaleCorruptFrameCountsExactlyOneStrike) {
   // the single range must go to the saboteur first.
   spawn_worker(g_, {.address = config.address}, &expired_and_sent);
 
-  const ServeOutcome outcome = serve(config);
-  expect_parity(outcome, UsageCost::Sum, false, "stale corrupt frame");
+  const MultiServeOutcome outcome = serve_jobs({job_for(g_, UsageCost::Sum, 1)}, config);
+  expect_parity(outcome, "stale corrupt frame");
   EXPECT_EQ(outcome.stats.expired_leases, 1u);
   EXPECT_EQ(outcome.stats.corrupt_results, 1u);
   EXPECT_EQ(outcome.stats.disconnects, 0u);

@@ -19,12 +19,12 @@
 //                  quarantines ranges that exhaust their retry budget
 //                  (refusing rather than guessing), journals completed
 //                  ranges crash-safely, and folds the final certificate
-//                  through the same merge_shard_results as everything
-//                  else. --resume continues a killed run from the journal.
-//                  With repeated --jobs specs (and/or --accept-submissions)
-//                  one dispatcher multiplexes several certification
-//                  sessions concurrently, each with its own journal
-//                  directory under --journal and its own certificate block.
+//                  through the same ShardFold as everything else. --resume
+//                  continues a killed run from the journal. Every job
+//                  (--graph FILE is shorthand for one --jobs FILE spec, and
+//                  --accept-submissions admits more) is one session with
+//                  its own journal directory under --journal and its own
+//                  certificate block.
 //   submit       — queue one more job on a running `serve
 //                  --accept-submissions` dispatcher (idempotent: an
 //                  identical job returns the existing session id).
@@ -42,9 +42,11 @@
 //                  scripts/certify_chaos.sh diff a merged/served run
 //                  against.
 //
-// The certificate block (stdout) is deliberately byte-stable across
-// serve/merge/certify so `diff` is the parity check; telemetry (timings,
-// widths, shard counts, dispatcher stats) goes to stderr.
+// The certificate block is deliberately byte-stable across serve/merge/
+// certify so `diff` is the parity check: merge and certify print it on
+// stdout, serve prints it behind an `== session N ==` marker and, with
+// --certs-dir, alone in DIR/session_<N>.cert. Telemetry (timings, widths,
+// shard counts, dispatcher stats) goes to stderr.
 //
 // Exit codes (tested by scripts/certify_exit_codes.sh):
 //   0  certificate emitted (either verdict)
@@ -97,17 +99,14 @@ using namespace bncg;
          "  bncg_certify chaos-worker --graph FILE --connect ADDR\n"
          "               --chaos crash|hang|corrupt|corrupt-all|duplicate|slow\n"
          "               [--chaos-seed S] [--chaos-delay-ms N] [--width auto|u8|u16]\n"
-         "               [--connect-retries N] [--connect-backoff-ms N]\n"
-         "  bncg_certify serve --graph FILE --listen ADDR [--shards K] [--model sum|max]\n"
-         "               [--include-deletions] [--stop-on-violation] [--lease-ms N]\n"
-         "               [--max-retries N] [--backoff-ms N] [--journal DIR] [--resume]\n"
-         "  bncg_certify serve --listen ADDR --jobs SPEC [--jobs SPEC ...]\n"
+         "               [--mem-budget B] [--connect-retries N] [--connect-backoff-ms N]\n"
+         "  bncg_certify serve --listen ADDR [--graph FILE] [--jobs SPEC ...]\n"
          "               [--accept-submissions N] [--certs-dir DIR] [--shards K]\n"
          "               [--model sum|max] [--include-deletions] [--stop-on-violation]\n"
          "               [--lease-ms N] [--max-retries N] [--backoff-ms N]\n"
          "               [--journal DIR] [--resume]\n"
          "               SPEC = FILE[,model=sum|max][,shards=K][,include-deletions]\n"
-         "                      [,stop-on-violation]\n"
+         "                      [,stop-on-violation]; --graph FILE = --jobs FILE\n"
          "  bncg_certify submit --connect ADDR --graph FILE [--model sum|max]\n"
          "               [--include-deletions] [--stop-on-violation] [--shards K]\n"
          "               [--connect-retries N] [--connect-backoff-ms N]\n"
@@ -353,7 +352,7 @@ int run_connected(Args& args, svc::ChaosConfig chaos) {
   svc::ConnectConfig config;
   config.address = args.required("--connect");
   const std::string graph_path = args.required("--graph");
-  config.width = parse_width(args.value("--width").value_or("auto"));
+  config.resources.width = parse_width(args.value("--width").value_or("auto"));
   config.resources.mem_budget = parse_mem_budget(args);
   if (args.value("--connect-retries")) {
     config.connect_retries = parse_u32(*args.value("--connect-retries"), "--connect-retries");
@@ -474,7 +473,13 @@ int run_chaos_worker(Args& args) {
   return job;
 }
 
-int run_serve_jobs(Args& args, const std::vector<std::string>& specs) {
+int run_serve(Args& args) {
+  // --graph FILE is shorthand for one --jobs FILE spec: every serve is a
+  // set of keyed sessions, however it was spelled.
+  std::vector<std::string> specs = args.values("--jobs");
+  if (const std::optional<std::string> graph = args.value("--graph")) {
+    specs.insert(specs.begin(), *graph);
+  }
   svc::JobSpec defaults;
   defaults.model = parse_model(args.value("--model").value_or("sum"));
   defaults.include_deletions = args.flag("--include-deletions");
@@ -494,6 +499,8 @@ int run_serve_jobs(Args& args, const std::vector<std::string>& specs) {
   if (args.value("--backoff-ms")) {
     config.backoff_ms = parse_u64(*args.value("--backoff-ms"), "--backoff-ms");
   }
+  // Zero here would make every lease or re-dispatch deadline degenerate;
+  // reject it as a usage error, not a guard refusal deep in the service.
   if (config.lease_ms == 0) usage("--lease-ms must be >= 1");
   if (config.backoff_ms == 0) usage("--backoff-ms must be >= 1");
   if (args.value("--journal")) config.journal_root = *args.value("--journal");
@@ -505,7 +512,7 @@ int run_serve_jobs(Args& args, const std::vector<std::string>& specs) {
   const std::string certs_dir = args.value("--certs-dir").value_or("");
   reject_unknown(args);
   if (specs.empty() && config.accept_submissions == 0) {
-    usage("serve --jobs mode needs at least one --jobs spec or --accept-submissions");
+    usage("serve needs --graph, a --jobs spec, or --accept-submissions");
   }
 
   std::vector<svc::JobSpec> jobs;
@@ -548,55 +555,6 @@ int run_serve_jobs(Args& args, const std::vector<std::string>& specs) {
   std::cerr << "serve: " << (outcome.sessions.size() - refused) << "/" << outcome.sessions.size()
             << " session(s) certified in " << timer.millis() << " ms\n";
   return refused == 0 ? 0 : 2;
-}
-
-int run_serve(Args& args) {
-  const std::vector<std::string> specs = args.values("--jobs");
-  if (!specs.empty() || args.value("--accept-submissions") || args.value("--certs-dir")) {
-    return run_serve_jobs(args, specs);
-  }
-
-  const std::string graph_path = args.required("--graph");
-  svc::ServeConfig config;
-  config.address = args.required("--listen");
-  config.model = parse_model(args.value("--model").value_or("sum"));
-  config.include_deletions = args.flag("--include-deletions");
-  config.stop_on_violation = args.flag("--stop-on-violation");
-  if (args.value("--shards")) {
-    config.shards = static_cast<std::size_t>(parse_u64(*args.value("--shards"), "--shards"));
-  }
-  if (args.value("--lease-ms")) {
-    config.lease_ms = parse_u64(*args.value("--lease-ms"), "--lease-ms");
-  }
-  if (args.value("--max-retries")) {
-    config.max_retries = parse_u32(*args.value("--max-retries"), "--max-retries");
-  }
-  if (args.value("--backoff-ms")) {
-    config.backoff_ms = parse_u64(*args.value("--backoff-ms"), "--backoff-ms");
-  }
-  // Zero here would make every lease or re-dispatch deadline degenerate;
-  // reject it as a usage error, not a guard refusal deep in the service.
-  if (config.lease_ms == 0) usage("--lease-ms must be >= 1");
-  if (config.backoff_ms == 0) usage("--backoff-ms must be >= 1");
-  if (args.value("--journal")) config.journal_dir = *args.value("--journal");
-  config.resume = args.flag("--resume");
-  reject_unknown(args);
-
-  const Graph g = load_graph(graph_path);
-  Timer timer;
-  const svc::ServeOutcome outcome = svc::serve_certification(g, config, &std::cerr);
-  if (!outcome.complete) {
-    std::cerr << "bncg_certify: serve refused: " << outcome.quarantined.size()
-              << " range(s) quarantined, " << outcome.agents_uncovered
-              << " agents uncovered — certificate withheld"
-              << (config.journal_dir.empty() ? "" : "; completed ranges are journaled, rerun with --resume")
-              << "\n";
-    return 2;
-  }
-  print_certificate(graph_fingerprint(g), g.num_vertices(), g.num_edges(), config.model,
-                    config.include_deletions, config.stop_on_violation, *outcome.certificate);
-  std::cerr << "serve: certificate complete in " << timer.millis() << " ms\n";
-  return 0;
 }
 
 /// Shared by `submit` and `status`: the one-frame control-client config.
