@@ -21,10 +21,12 @@
 // verdict, so they are never materialized (DESIGN.md §16). Both modes are
 // exact; the differential suite (tests/test_row_cache.cpp) pins byte-parity.
 //
-// DistanceProvider<Dist> is the uniform row source of one agent scan:
-// dense mode materializes the full masked matrix up front (the small-n
-// fast path), budgeted mode opens a row-cache context and serves rows
-// lazily under the budget.
+// DistanceProvider<Dist> is the row source of the engine's one scan body
+// (SwapEngine::scan_agent_t): the storage mode is the only thing dense and
+// budgeted scans differ in. Dense mode materializes the full masked matrix
+// up front by one batched APSP (the small-n fast path; prefetch is a no-op
+// and row() points into the slab), budgeted mode opens a row-cache context
+// and serves rows lazily under the budget.
 #pragma once
 
 #include <cstdint>
@@ -119,10 +121,10 @@ class WidthAndBudgetPolicy {
 /// Uniform row source of one agent scan at storage width `Dist`.
 ///
 /// Dense mode: begin() materializes the full masked matrix into the
-/// caller's slab by one capped APSP — the historical scan storage, chosen
-/// by the policy whenever it fits the lane budget. Budgeted mode: begin()
-/// opens a RowCache context; rows materialize on the first touch and live
-/// under the byte budget with block-LRU eviction.
+/// caller's slab by one capped APSP, chosen by the policy whenever it fits
+/// the lane budget. Budgeted mode: begin() opens a RowCache context; rows
+/// materialize on the first touch and live under the byte budget with
+/// block-LRU eviction.
 ///
 /// In both modes row() returns exact distances of the masked snapshot
 /// (nullptr on width saturation — the caller redoes the scan wider), and

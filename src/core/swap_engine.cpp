@@ -163,8 +163,7 @@ std::uint64_t SwapEngine::agent_cost(Vertex v, UsageCost model, Scratch& s) cons
   const Vertex n = csr_.num_vertices();
   BNCG_REQUIRE(v < n, "vertex id out of range");
   BNCG_REQUIRE(n < kInfDist16,
-               "agent_cost is a dense-path query (n < 65535); budgeted scans derive costs "
-               "from the neighbor min-fold instead");
+               "agent_cost serves the dense-only k-swap and α-game paths (n < 65535)");
   s.base_.resize(n);
   const BfsResult r = csr_bfs(csr_, v, MaskedEdge{}, s.base_.data(), s.bfs_);
   if (!r.spans(n)) return kInfCost;
@@ -172,18 +171,11 @@ std::uint64_t SwapEngine::agent_cost(Vertex v, UsageCost model, Scratch& s) cons
 }
 
 template <typename Dist>
-bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
-                              bool include_deletions, std::uint64_t* moves_checked,
-                              Scratch& s, std::optional<Deviation>& out) const {
+bool SwapEngine::neighbor_fold_t(Vertex v, RowStorage storage, Scratch& s) const {
   constexpr Dist kInf = engine_inf<Dist>();
   const simd::Kernels<Dist>& kern = simd::kernels<Dist>();
   const Vertex n = csr_.num_vertices();
-  BNCG_REQUIRE(v < n, "vertex id out of range");
-  const std::uint64_t old_cost = agent_cost(v, model, s);
-
   const auto nbrs = csr_.neighbors(v);
-  out.reset();
-  if (nbrs.empty()) return true;
 
   // Closed-neighborhood marks: candidates w₂ must be fresh edges (swapping
   // onto an existing edge is a deletion and never improves either model).
@@ -191,36 +183,77 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
   s.is_nbr_[v] = 1;
   for (const Vertex w : nbrs) s.is_nbr_[w] = 1;
 
-  // The agent's single traversal bill: one batched APSP of G − v answers
-  // every (removed edge, candidate) pair via the source-removal identity.
-  // Materialization goes through the provider's dense mode (the batched
-  // APSP into this scratch's slab); a saturating sweep means this agent
-  // does not fit the width — bail so the dispatcher redoes it at u16.
+  // Every row below is a row of G − v, the source-removal identity's
+  // traversal bill. Dense storage pays it up front with one batched masked
+  // APSP into the scratch slab; budgeted storage opens a row-cache context
+  // and pays per row on first touch.
   auto& rows = s.rows<Dist>();
-  if (!rows.provider.begin(csr_, /*masked_vertex=*/v, kInf, engine_max_finite<Dist>(),
-                           RowStorage::Dense, /*budget_bytes=*/0, rows.apsp, s.bfs_)) {
+  auto& provider = rows.provider;
+  if (!provider.begin(csr_, /*masked_vertex=*/v, kInf, engine_max_finite<Dist>(), storage,
+                      budget_policy_.lane_budget(), rows.apsp, s.bfs_)) {
     return false;
   }
 
   // Elementwise min / argmin / second-min over the neighbor rows, so each
-  // removed edge's kept-neighbor profile M^w is an O(n) select.
+  // removed edge's kept-neighbor profile M^w is an O(n) select. Rows are
+  // prefetched ≤ 64 per traversal and folded once each.
   rows.min1.assign(n, kInf);
   rows.min2.assign(n, kInf);
   s.argmin_.assign(n, kNoVertex);
-  for (const Vertex z : nbrs) {
-    kern.scan_min_update(rows.min1.data(), rows.min2.data(), s.argmin_.data(),
-                         rows.apsp.data() + static_cast<std::size_t>(z) * n, z, n);
+  for (std::size_t i = 0; i < nbrs.size(); i += 64) {
+    const std::size_t chunk = std::min<std::size_t>(64, nbrs.size() - i);
+    const std::span<const Vertex> group(nbrs.data() + i, chunk);
+    if (!provider.prefetch(group, s.bfs_)) return false;
+    for (const Vertex z : group) {
+      const Dist* row = provider.row(z, s.bfs_);
+      if (row == nullptr) return false;
+      kern.scan_min_update(rows.min1.data(), rows.min2.data(), s.argmin_.data(), row, z, n);
+    }
   }
+  // With min1[v] pinned to 0, 1 + min1 is exactly d_G(v, ·) (source-removal
+  // identity at N' = N(v)). No masked row reaches v, so argmin_[v] stays
+  // kNoVertex and select_mrow copies the pinned 0 into every M^w too —
+  // whole-row combines need no special case for u = v.
+  rows.min1[v] = 0;
+  return true;
+}
+
+template <typename Dist>
+bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, RowStorage storage, bool stop_at_first,
+                              bool include_deletions, std::uint64_t* moves_checked, Scratch& s,
+                              std::optional<Deviation>& out) const {
+  constexpr Dist kInf = engine_inf<Dist>();
+  const simd::Kernels<Dist>& kern = simd::kernels<Dist>();
+  const Vertex n = csr_.num_vertices();
+  BNCG_REQUIRE(v < n, "vertex id out of range");
+
+  const auto nbrs = csr_.neighbors(v);
+  out.reset();
+  if (nbrs.empty()) return true;
+  if (!neighbor_fold_t<Dist>(v, storage, s)) return false;
+  auto& rows = s.rows<Dist>();
+  auto& provider = rows.provider;
+
+  // Candidates per removed edge (every vertex outside the closed
+  // neighborhood) — the bulk move-count term of the max model, where every
+  // candidate is "checked" by the far filter whether or not its row is ever
+  // read.
+  const std::uint64_t candidate_count = n - 1 - nbrs.size();
+
+  // The agent's current cost derives from the fold it already paid for —
+  // no unmasked BFS.
+  const std::uint64_t old_cost =
+      model == UsageCost::Sum ? kern.combine_sum(rows.min1.data(), rows.min1.data(), n, kInf)
+                              : kern.deletion_ecc(rows.min1.data(), n, kInf);
+
   rows.mrow.resize(n);
   s.far_.resize(n);
 
   std::optional<Deviation> best;
   for (const Vertex w : nbrs) {
-    // M^w_u = min_{z ∈ N(v)∖{w}} d_{G−v}(z, u); the v entry is pinned to 0
-    // so whole-row combines need no special case for u = v.
+    // M^w_u = min_{z ∈ N(v)∖{w}} d_{G−v}(z, u).
     Dist* m = rows.mrow.data();
     kern.select_mrow(m, rows.min1.data(), rows.min2.data(), s.argmin_.data(), w, n);
-    m[v] = 0;
 
     if (model == UsageCost::Max && include_deletions) {
       // Deletion clause: removing {v, w} must *strictly* increase v's local
@@ -238,151 +271,16 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
     }
 
     if (model == UsageCost::Sum) {
-      for (Vertex w2 = 0; w2 < n; ++w2) {
-        if (s.is_nbr_[w2] != 0) continue;
-        if (moves_checked != nullptr) ++*moves_checked;
-        const std::uint64_t new_cost =
-            kern.combine_sum(m, rows.apsp.data() + static_cast<std::size_t>(w2) * n, n, kInf);
-        if (new_cost >= old_cost) continue;
-        if (!best || new_cost < best->cost_after) {
-          best = Deviation{{v, w, w2}, old_cost, new_cost, Deviation::Kind::ImprovingSwap};
-          if (stop_at_first) {
-            out = best;
-            return true;
-          }
-        }
-      }
-    } else {
-      // Far set of the removed edge: vertices the kept neighbors do not
-      // already serve within old_cost − 1. The swap improves iff candidate
-      // w₂ covers the whole far set within old_cost − 2 (reads "repair
-      // connectivity" when old_cost = ∞). cap is signed: old_cost = 1 makes
-      // improvement impossible and the far test rejects everything.
-      const std::int32_t cap =
-          old_cost == kInfCost ? std::int32_t{kInf} - 1 : static_cast<std::int32_t>(old_cost) - 2;
-      const std::uint32_t far_count = kern.collect_above(m, n, cap, /*skip=*/v, s.far_.data());
-      for (Vertex w2 = 0; w2 < n; ++w2) {
-        if (s.is_nbr_[w2] != 0) continue;
-        if (moves_checked != nullptr) ++*moves_checked;
-        const Dist* c = rows.apsp.data() + static_cast<std::size_t>(w2) * n;
-        bool improves = true;
-        for (std::uint32_t i = 0; i < far_count; ++i) {
-          if (c[s.far_[i]] > cap) {
-            improves = false;
-            break;
-          }
-        }
-        if (!improves) continue;
-        const std::uint64_t new_cost = kern.combine_max(m, c, n, kInf);
-        if (!best || new_cost < best->cost_after ||
-            (best->kind == Deviation::Kind::NonCriticalDelete &&
-             new_cost <= best->cost_after)) {
-          best = Deviation{{v, w, w2}, old_cost, new_cost, Deviation::Kind::ImprovingSwap};
-          if (stop_at_first) {
-            out = best;
-            return true;
-          }
-        }
-      }
-    }
-  }
-  out = best;
-  return true;
-}
-
-template <typename Dist>
-bool SwapEngine::scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_first,
-                                       bool include_deletions, std::uint64_t* moves_checked,
-                                       Scratch& s, std::optional<Deviation>& out) const {
-  constexpr Dist kInf = engine_inf<Dist>();
-  const simd::Kernels<Dist>& kern = simd::kernels<Dist>();
-  const Vertex n = csr_.num_vertices();
-  BNCG_REQUIRE(v < n, "vertex id out of range");
-
-  const auto nbrs = csr_.neighbors(v);
-  out.reset();
-  if (nbrs.empty()) return true;
-
-  s.is_nbr_.assign(n, 0);
-  s.is_nbr_[v] = 1;
-  for (const Vertex w : nbrs) s.is_nbr_[w] = 1;
-  // Candidates per removed edge — the bulk move-count term of the max
-  // model, where every candidate is "checked" by the far filter whether or
-  // not its row ever materializes.
-  std::uint64_t candidate_count = 0;
-  for (Vertex x = 0; x < n; ++x) candidate_count += s.is_nbr_[x] == 0 ? 1 : 0;
-
-  auto& rows = s.rows<Dist>();
-  if (!rows.provider.begin(csr_, /*masked_vertex=*/v, kInf, engine_max_finite<Dist>(),
-                           RowStorage::Budgeted, budget_policy_.lane_budget(), rows.apsp,
-                           s.bfs_)) {
-    return false;
-  }
-  auto& provider = rows.provider;
-
-  // Neighbor min-fold, one row at a time: prefetch batches ≤ 64 neighbor
-  // rows per traversal; each row is folded once and may be evicted freely
-  // afterwards. This is the only stage that materializes rows
-  // unconditionally — everything below is filtered or pruned first.
-  rows.min1.assign(n, kInf);
-  rows.min2.assign(n, kInf);
-  s.argmin_.assign(n, kNoVertex);
-  for (std::size_t i = 0; i < nbrs.size(); i += 64) {
-    const std::size_t chunk = std::min<std::size_t>(64, nbrs.size() - i);
-    const std::span<const Vertex> group(nbrs.data() + i, chunk);
-    if (!provider.prefetch(group, s.bfs_)) return false;
-    for (const Vertex z : group) {
-      const Dist* row = provider.row(z, s.bfs_);
-      if (row == nullptr) return false;
-      kern.scan_min_update(rows.min1.data(), rows.min2.data(), s.argmin_.data(), row, z, n);
-    }
-  }
-
-  // The agent's current cost derives from the fold it already paid for:
-  // with min1[v] pinned to 0, 1 + min1 is exactly d_G(v, ·) (source-removal
-  // identity at N' = N(v)), so ecc and Σ fall out of the combine kernels —
-  // no unmasked BFS, which at budgeted scale would be a third traversal
-  // family. Pinning min1[v] itself is safe: argmin_[v] stays kNoVertex (no
-  // masked row reaches v), so select_mrow below copies the pinned 0 into
-  // every M^w exactly where the dense scan pins m[v] after the select.
-  rows.min1[v] = 0;
-  const std::uint64_t old_cost =
-      model == UsageCost::Sum
-          ? kern.combine_sum(rows.min1.data(), rows.min1.data(), n, kInf)
-          : kern.deletion_ecc(rows.min1.data(), n, kInf);
-
-  rows.mrow.resize(n);
-  s.far_.resize(n);
-
-  std::optional<Deviation> best;
-  for (const Vertex w : nbrs) {
-    Dist* m = rows.mrow.data();
-    kern.select_mrow(m, rows.min1.data(), rows.min2.data(), s.argmin_.data(), w, n);
-    m[v] = 0;
-
-    if (model == UsageCost::Max && include_deletions) {
-      if (moves_checked != nullptr) ++*moves_checked;
-      const std::uint64_t del_cost = kern.deletion_ecc(m, n, kInf);
-      if (del_cost <= old_cost) {
-        const Deviation dev{{v, w, w}, old_cost, del_cost, Deviation::Kind::NonCriticalDelete};
-        if (!best || dev.cost_after < best->cost_after) best = dev;
-        if (stop_at_first) {
-          out = best;
-          return true;
-        }
-      }
-    }
-
-    if (model == UsageCost::Sum) {
       // Σ-prune: for any candidate w₂ with A = M^w_{w₂} finite, the kept
       // neighbor z* attaining A gives m_u ≤ A + c_u for every u (triangle
       // through w₂), so min(m_u, c_u) ≥ m_u − A and
       //   cost'(v) ≥ combine_sum(M^w, M^w) − n·A.
-      // When that bound already meets old_cost the dense scan would have
-      // computed cost' and continued — prune without materializing the row.
-      // A = ∞ (w₂ outside the kept component) can still repair
-      // connectivity, so it always evaluates; Σ M^w = ∞ with A finite means
-      // some u is unreachable from w₂ too, so cost' = ∞ — always prune.
+      // When that bound already meets old_cost the combine could only
+      // confirm a non-improvement — prune without reading the row (pruned
+      // candidates still count as checked). A = ∞ (w₂ outside the kept
+      // component) can still repair connectivity, so it always evaluates;
+      // Σ M^w = ∞ with A finite means some u is unreachable from w₂ too, so
+      // cost' = ∞ — always prune.
       const std::uint64_t mm = kern.combine_sum(m, m, n, kInf);
       for (Vertex w2 = 0; w2 < n; ++w2) {
         if (s.is_nbr_[w2] != 0) continue;
@@ -405,18 +303,19 @@ bool SwapEngine::scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_f
         }
       }
     } else {
-      // Streamed far filter. The dense scan tests every candidate against
-      // the far set with an early break; by symmetry d(f, w₂) = d(w₂, f)
-      // the same comparisons read COLUMN-wise from far-vertex rows: pass i
-      // filters the survivors of passes 0..i−1 against far row f_i, so a
-      // candidate is eliminated at exactly its dense break index and the
-      // survivor set is identical. Far rows are fetched lazily — passes
-      // stop the moment the survivor list empties, which on equilibrium
-      // instances is after a handful of rows — and survivors are *proven*
-      // improvers (cost' ≤ cap + 1 < old_cost), so only their rows ever
-      // materialize. Pass order over the far set is free (survival is
-      // conjunctive): descending M^w visits the most exclusive far
-      // vertices first, emptying the list sooner.
+      // Far set of the removed edge: vertices the kept neighbors do not
+      // already serve within old_cost − 1. The swap improves iff candidate
+      // w₂ covers the whole far set within old_cost − 2 (reads "repair
+      // connectivity" when old_cost = ∞). cap is signed: old_cost = 1 makes
+      // improvement impossible and the far test rejects everything.
+      //
+      // The far test streams column-wise: by symmetry d(f, w₂) = d(w₂, f),
+      // so pass i filters the survivors of passes 0..i−1 against far row
+      // f_i. Survival is conjunctive, so the pass order is free; largest
+      // M^w first (ids ascending on ties) visits the most exclusive far
+      // vertices first and empties the list soonest — on equilibrium
+      // instances after a handful of rows. Survivors are *proven* improvers
+      // (cost' ≤ cap + 1 < old_cost), so only their rows are combined.
       const std::int32_t cap =
           old_cost == kInfCost ? std::int32_t{kInf} - 1 : static_cast<std::int32_t>(old_cost) - 2;
       const std::uint32_t far_count = kern.collect_above(m, n, cap, /*skip=*/v, s.far_.data());
@@ -449,8 +348,8 @@ bool SwapEngine::scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_f
              new_cost <= best->cost_after)) {
           best = Deviation{{v, w, w2}, old_cost, new_cost, Deviation::Kind::ImprovingSwap};
           if (stop_at_first) {
-            // The dense scan stops mid-enumeration, counting only the
-            // candidates up to this w₂ — take back the bulk add for the
+            // A first-improver scan checks the candidates in ascending
+            // order only up to this w₂ — take back the bulk add for the
             // ones after it.
             if (moves_checked != nullptr) {
               std::uint64_t up_to = 0;
@@ -480,30 +379,20 @@ std::optional<Deviation> SwapEngine::scan_agent(Vertex v, UsageCost model, bool 
     // identical scan order, keeping move counts width-independent.
     std::uint64_t narrow_moves = 0;
     std::uint64_t* narrow = moves_checked != nullptr ? &narrow_moves : nullptr;
-    const bool ok =
-        budget_policy_.dense_fits(n, DistWidth::U8)
-            ? scan_agent_t<std::uint8_t>(v, model, stop_at_first, include_deletions, narrow, s,
-                                         out)
-            : scan_agent_budgeted_t<std::uint8_t>(v, model, stop_at_first, include_deletions,
-                                                  narrow, s, out);
-    if (ok) {
+    if (scan_agent_t<std::uint8_t>(v, model, budget_policy_.storage_for(n, DistWidth::U8),
+                                   stop_at_first, include_deletions, narrow, s, out)) {
       if (moves_checked != nullptr) *moves_checked += narrow_moves;
       return out;
     }
     width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (budget_policy_.dense_fits(n, DistWidth::U16)) {
-    // Dense u16 cannot saturate under its n < 65535 gate.
-    (void)scan_agent_t<std::uint16_t>(v, model, stop_at_first, include_deletions, moves_checked,
-                                      s, out);
-  } else {
-    // Budgeted u16 CAN saturate — a masked diameter beyond 65534 — and
-    // there is no wider storage to fall back to.
-    BNCG_REQUIRE(scan_agent_budgeted_t<std::uint16_t>(v, model, stop_at_first, include_deletions,
-                                                      moves_checked, s, out),
-                 "budgeted u16 scan saturated: some masked distance exceeds the 16-bit "
-                 "encoding; this instance is beyond the engine's distance range");
-  }
+  // Dense u16 cannot saturate under its n < 65535 gate; budgeted u16 can —
+  // a masked diameter beyond 65534 — and there is no wider width to redo at.
+  BNCG_REQUIRE(scan_agent_t<std::uint16_t>(v, model, budget_policy_.storage_for(n, DistWidth::U16),
+                                           stop_at_first, include_deletions, moves_checked, s,
+                                           out),
+               "u16 scan saturated: some masked distance exceeds the 16-bit encoding; this "
+               "instance is beyond the engine's distance range");
   return out;
 }
 
@@ -814,47 +703,27 @@ bool SwapEngine::alpha_scan_t(Vertex v, const std::vector<std::uint8_t>& owned,
   const Vertex n = csr_.num_vertices();
   s.alpha_.clear();
 
-  const auto nbrs = csr_.neighbors(v);
-  s.is_nbr_.assign(n, 0);
-  s.is_nbr_[v] = 1;
-  for (const Vertex w : nbrs) s.is_nbr_[w] = 1;
-
   // Unlike the basic-game scan, the α-game has ADD moves, so even an
   // isolated agent runs the masked APSP: an added edge v–w gives the profile
-  // 1 + min(min1, c_w) (the source-removal identity over N(v) ∪ {w}).
+  // 1 + min(min1, c_w) (the source-removal identity over N(v) ∪ {w}). The
+  // α paths are dense-only, so every row below reads the slab directly.
+  if (!neighbor_fold_t<Dist>(v, RowStorage::Dense, s)) return false;
   auto& rows = s.rows<Dist>();
-  rows.apsp.resize(static_cast<std::size_t>(n) * n);
-  if (!csr_apsp_capped<Dist>(csr_, MaskedEdge{}, rows.apsp.data(), s.bfs_,
-                             /*masked_vertex=*/v, kInf, engine_max_finite<Dist>())) {
-    return false;
-  }
-  rows.min1.assign(n, kInf);
-  rows.min2.assign(n, kInf);
-  s.argmin_.assign(n, kNoVertex);
-  for (const Vertex z : nbrs) {
-    kern.scan_min_update(rows.min1.data(), rows.min2.data(), s.argmin_.data(),
-                         rows.apsp.data() + static_cast<std::size_t>(z) * n, z, n);
-  }
-  rows.arow.resize(n);
   rows.mrow.resize(n);
 
   // Adds, ascending endpoint (the naive loop order).
-  Dist* add_profile = rows.arow.data();
-  std::copy(rows.min1.begin(), rows.min1.end(), add_profile);
-  add_profile[v] = 0;
   for (Vertex w = 0; w < n; ++w) {
     if (s.is_nbr_[w] != 0) continue;
     const std::uint64_t usage = kern.combine_sum(
-        add_profile, rows.apsp.data() + static_cast<std::size_t>(w) * n, n, kInf);
+        rows.min1.data(), rows.apsp.data() + static_cast<std::size_t>(w) * n, n, kInf);
     s.alpha_.push_back({AlphaCandidate::Kind::Add, w, 0, usage});
   }
 
   // Deletes then swaps, per owned neighbor in ascending (sorted) order.
-  for (const Vertex w : nbrs) {
+  for (const Vertex w : csr_.neighbors(v)) {
     if (owned[w] == 0) continue;
     Dist* m = rows.mrow.data();
     kern.select_mrow(m, rows.min1.data(), rows.min2.data(), s.argmin_.data(), w, n);
-    m[v] = 0;
     // Post-deletion profile is 1 + M^w; combine_sum(m, m) = (n−1) + Σ M^w.
     s.alpha_.push_back({AlphaCandidate::Kind::Delete, w, 0, kern.combine_sum(m, m, n, kInf)});
     for (Vertex w2 = 0; w2 < n; ++w2) {

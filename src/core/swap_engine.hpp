@@ -24,8 +24,15 @@
 //     free: its post-move profile is 1 + M^w.
 //  3. Far-set filtering (max model). cost'(v) < ecc(v) requires
 //     c_{w₂,u} ≤ ecc(v) − 2 on the far set {u : M^w_u > ecc(v) − 2}, which
-//     is typically tiny — candidates are rejected after |far| comparisons
-//     and the exact combine runs only for actual improvers.
+//     is typically tiny. The filter streams over far-vertex rows (by
+//     symmetry d(f, w₂) = d(w₂, f)), largest M^w first, narrowing one
+//     survivor list of candidates; the exact combine runs only for the
+//     survivors, which are proven improvers.
+//
+// There is one scan body. Its rows come from a DistanceProvider
+// (core/dist_provider.hpp) whose storage mode — one dense masked APSP per
+// agent, or a budgeted row cache — the WidthAndBudgetPolicy picks by memory
+// fit; the mode changes speed and memory, never results.
 //
 // The scan kernels are templated on the distance storage width
 // (graph/dist_width.hpp): on small-diameter instances the per-agent masked
@@ -113,9 +120,10 @@ class SwapEngine {
    public:
     friend class SwapEngine;
 
-    /// Budgeted-mode row providers of this scratch (dense scans leave them
-    /// idle) — residency/stat introspection for benches and the
-    /// prune-soundness suite.
+    /// Row providers of this scratch, one per width; every basic-game scan
+    /// reads its rows through them in dense or budgeted mode —
+    /// residency/stat introspection for benches and the prune-soundness
+    /// suite.
     [[nodiscard]] const DistanceProvider<std::uint8_t>& provider8() const noexcept {
       return rows8_.provider;
     }
@@ -135,7 +143,7 @@ class SwapEngine {
       AlignedVec<Dist> min1;  // elementwise min over neighbor rows
       AlignedVec<Dist> min2;  // elementwise second min
       AlignedVec<Dist> mrow;  // M^w: min over N(v)∖{w}
-      AlignedVec<Dist> arow;  // pinned add-profile / k-way min-fold target
+      AlignedVec<Dist> arow;  // k-way min-fold target (k-swap subsets)
       DistanceProvider<Dist> provider;  // dense slab or budgeted row cache
     };
     template <typename Dist>
@@ -265,30 +273,31 @@ class SwapEngine {
                                       bool include_deletions, std::uint64_t* moves_checked,
                                       Scratch& scratch) const;
 
-  /// Width-typed dense scan body. Returns false — with `out` and the move
-  /// count untouched by the caller — when the masked sweep saturates the
-  /// width (only possible for u8); the dispatcher then redoes the agent at
-  /// u16.
+  /// Shared prologue of every masked-snapshot scan: marks v's closed
+  /// neighborhood, opens the scratch's DistanceProvider on G − v in
+  /// `storage` mode, and folds the neighbor rows into min1/min2/argmin with
+  /// min1[v] pinned to 0 (so 1 + min1 = d_G(v, ·)). False on width
+  /// saturation.
   template <typename Dist>
-  [[nodiscard]] bool scan_agent_t(Vertex v, UsageCost model, bool stop_at_first,
-                                  bool include_deletions, std::uint64_t* moves_checked,
-                                  Scratch& scratch, std::optional<Deviation>& out) const;
+  [[nodiscard]] bool neighbor_fold_t(Vertex v, RowStorage storage, Scratch& scratch) const;
 
-  /// Width-typed BUDGETED scan body: same enumeration order, acceptance
-  /// rules, move counts, and results as scan_agent_t, but rows stream
-  /// through the DistanceProvider's row cache under the per-lane byte
-  /// budget instead of a dense n×n slab — the agent's current cost derives
-  /// from the neighbor min-fold (source-removal identity at N' = N(v)), the
-  /// max model streams its far filter over far-vertex rows (fetched lazily,
-  /// by symmetry d(f, w₂) = d(w₂, f)) so candidate rows are materialized
-  /// only for proven improvers, and the sum model prunes candidates whose
+  /// The one width-typed basic-game scan body, over rows from the
+  /// DistanceProvider in the `storage` mode the policy chose (dense: one
+  /// batched masked APSP into the slab; budgeted: the row cache under the
+  /// per-lane byte budget). The agent's current cost derives from the
+  /// neighbor min-fold; the max model streams its far filter over far-vertex
+  /// rows (by symmetry d(f, w₂) = d(w₂, f)), largest M^w first, so only
+  /// proven improvers are combined; the sum model prunes candidates whose
   /// triangle-inequality lower bound (Σ M^w − n·M^w_{w₂}) already meets the
-  /// old cost. False on width saturation (u8: dispatcher widens; u16: the
-  /// instance exceeds the 16-bit encoding and the dispatcher fails loudly).
+  /// old cost. Returns false — with `out` and the move count discarded by
+  /// the caller — on width saturation (u8: the dispatcher redoes the agent
+  /// at u16; budgeted u16: the instance exceeds the 16-bit encoding and the
+  /// dispatcher fails loudly).
   template <typename Dist>
-  [[nodiscard]] bool scan_agent_budgeted_t(Vertex v, UsageCost model, bool stop_at_first,
-                                           bool include_deletions, std::uint64_t* moves_checked,
-                                           Scratch& scratch, std::optional<Deviation>& out) const;
+  [[nodiscard]] bool scan_agent_t(Vertex v, UsageCost model, RowStorage storage,
+                                  bool stop_at_first, bool include_deletions,
+                                  std::uint64_t* moves_checked, Scratch& scratch,
+                                  std::optional<Deviation>& out) const;
 
   /// Unmasked capped APSP of the snapshot into scratch (shared by the
   /// insertion paths, which need full-graph rows). False on u8 saturation.

@@ -2,7 +2,8 @@
 // §16): the blocked row cache (graph/row_cache.hpp) + budgeted SwapEngine
 // scans must reproduce the dense path's certificates byte for byte —
 // verdict, move counts, witness fields — across 200+ seeded instances at
-// both storage widths and both SIMD extremes, survive eviction thrash
+// both storage widths and both SIMD extremes, match the naive oracle agent
+// by agent in both storage modes, survive eviction thrash
 // (budget barely above one block), and never prune a row that could have
 // mattered (every never-materialized candidate re-verified non-improving
 // by BFS). CMakeLists pins the whole RowCache* filter at BNCG_THREADS 1
@@ -18,6 +19,7 @@
 
 #include "core/certify_sharded.hpp"
 #include "core/dist_provider.hpp"
+#include "core/equilibrium.hpp"
 #include "core/instance.hpp"
 #include "core/swap.hpp"
 #include "core/swap_engine.hpp"
@@ -254,10 +256,24 @@ TEST(RowCache, DifferentialStopOnViolationVerdict) {
   }
 }
 
+/// The brute-force oracle's answer for one (agent, run, best/first) cell.
+std::optional<Deviation> naive_deviation(const Graph& g, Vertex v, const RunSpec& run, bool first,
+                                         BfsWorkspace& ws) {
+  if (run.model == UsageCost::Sum) {
+    return first ? naive::first_sum_deviation(g, v, ws) : naive::best_sum_deviation(g, v, ws);
+  }
+  return first ? naive::first_max_deviation(g, v, ws, run.include_deletions)
+               : naive::best_max_deviation(g, v, ws, run.include_deletions);
+}
+
 // Per-agent parity at the engine level, including the per-call
 // moves_checked counter and first_deviation's early-exit accounting — the
 // sharpest-grained equivalence the certificate parity above aggregates.
+// Dense and budgeted storage run the same scan body, so each is checked
+// against the independent naive oracle (and full-scan move counts against
+// their closed form), not only against each other.
 TEST(RowCache, DifferentialPerAgentMoves) {
+  BfsWorkspace ws;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     Xoshiro256ss rng(seed + 100);
     const Vertex n = static_cast<Vertex>(24 + seed * 8);
@@ -270,11 +286,24 @@ TEST(RowCache, DifferentialPerAgentMoves) {
         budget_res.mem_budget = forcing_budget(n);
         const SwapEngine dense(g, dense_res);
         const SwapEngine budgeted(g, budget_res);
+        ASSERT_EQ(dense.budget_policy().storage_for(n, dense.preferred_width()),
+                  RowStorage::Dense);
+        ASSERT_EQ(budgeted.budget_policy().storage_for(n, budgeted.preferred_width()),
+                  RowStorage::Budgeted);
         SwapEngine::Scratch ds, bs;
         for (Vertex v = 0; v < n; ++v) {
-          const std::string ctx = "seed=" + std::to_string(seed) + " v=" + std::to_string(v) +
-                                  " run=" + run.name;
+          // A full scan checks one candidate per (incident edge, non-neighbor
+          // ≠ v) pair, plus one deletion per incident edge when the max
+          // deletion clause participates.
+          const std::uint64_t deg = g.degree(v);
+          const std::uint64_t full_moves =
+              deg * (n - 1 - deg) + (run.include_deletions ? deg : 0);
           for (const bool first : {false, true}) {
+            const std::string ctx = "seed=" + std::to_string(seed) + " v=" + std::to_string(v) +
+                                    " run=" + run.name +
+                                    " width=" + (width == WidthPolicy::ForceU8 ? "u8" : "u16") +
+                                    (first ? " first" : " best");
+            const auto oracle = naive_deviation(g, v, run, first, ws);
             std::uint64_t dense_moves = 0, budget_moves = 0;
             const auto want =
                 first ? dense.first_deviation(v, run.model, ds, run.include_deletions,
@@ -286,8 +315,10 @@ TEST(RowCache, DifferentialPerAgentMoves) {
                                                  &budget_moves)
                       : budgeted.best_deviation(v, run.model, bs, run.include_deletions,
                                                 &budget_moves);
-            expect_dev_eq(want, got, ctx + (first ? " first" : " best"));
-            EXPECT_EQ(dense_moves, budget_moves) << ctx << (first ? " first" : " best");
+            expect_dev_eq(oracle, want, ctx + " dense-vs-oracle");
+            expect_dev_eq(oracle, got, ctx + " budgeted-vs-oracle");
+            EXPECT_EQ(dense_moves, budget_moves) << ctx;
+            if (!first) EXPECT_EQ(dense_moves, full_moves) << ctx;
             if (HasFatalFailure()) return;
           }
         }
