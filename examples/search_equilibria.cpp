@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
   AnnealStats stats;
   Timer timer;
   const Graph start = random_connected_gnm(n, 2 * n, rng);
-  const char* evaluation = search_state_enabled(start) ? "incremental" : "full recompute";
+  const char* evaluation =
+      search_state_enabled(start, config.resources) ? "incremental" : "full recompute";
   const auto found = anneal_equilibrium(start, config, &stats);
   const double secs = timer.seconds();
   std::cout << stats.proposals << " proposals in " << secs << " s ("

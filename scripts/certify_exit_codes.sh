@@ -74,6 +74,24 @@ expect_rc 1 "unknown mode" "$bin" frobnicate
 expect_rc 1 "unknown flag" "$bin" certify --graph "$graph" --frobnicate
 expect_rc 1 "missing required flag" "$bin" certify
 expect_rc 1 "unreadable graph file" "$bin" certify --graph "$work_dir/no-such-file"
+# An absurd edge-list header is a named one-line refusal, not an allocator
+# failure: the vertex count is checked before anything is allocated.
+printf '2000000000 0\n' >"$work_dir/absurd.edges"
+expect_rc 1 "edge list whose header declares 2e9 vertices" \
+  "$bin" certify --graph "$work_dir/absurd.edges"
+absurd_diag="$("$bin" certify --graph "$work_dir/absurd.edges" 2>&1 >/dev/null || true)"
+case "$absurd_diag" in
+  "bncg_certify: error: "*"edge list: header vertex count 2000000000 exceeds"*)
+    if [ "$(printf '%s\n' "$absurd_diag" | wc -l)" -eq 1 ]; then
+      echo "certify_exit_codes: OK   absurd edge-list header gets the one-line edge list: diagnostic"
+    else
+      echo "certify_exit_codes: FAIL absurd edge-list diagnostic spans several lines" >&2
+      failures=$(( failures + 1 ))
+    fi ;;
+  *)
+    echo "certify_exit_codes: FAIL absurd edge-list header diagnostic: $absurd_diag" >&2
+    failures=$(( failures + 1 )) ;;
+esac
 expect_rc 1 "no mode at all" "$bin"
 # The service modes obey the same taxonomy: a bad invocation is a one-line
 # usage diagnostic and exit 1, never 0, a throw, or a late guard refusal.

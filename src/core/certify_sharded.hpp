@@ -2,7 +2,7 @@
 //
 // SwapEngine::certify parallelizes one flat pool loop over agents, which is
 // the right shape while every thread's n×n scratch fits in cache-adjacent
-// memory and the per-agent cost is uniform. Past n ≈ 4096 neither holds:
+// memory and the per-agent cost is uniform. At n in the thousands neither holds:
 // agent costs spread out (degree skew makes some masked APSPs several times
 // pricier than others), a single straggler holds the whole loop's implicit
 // barrier, and a verdict-only caller still pays for the full best-witness
@@ -186,10 +186,10 @@ class ShardFold {
 /// tie-breaks, moves_checked — is bit-identical to SwapEngine::certify and
 /// the bncg::naive certifiers (differential-tested in
 /// tests/test_certify_sharded.cpp). `include_deletions` selects the max
-/// model's deletion clause, exactly as in SwapEngine::certify. Intended for
-/// the n ≥ 4096 tier above kSwapEngineAutoMaxVertices, correct at any size;
-/// with a memory budget (config.resources) the scans run against the
-/// blocked row cache, which is what admits n ≥ 65535 instances the dense
+/// model's deletion clause, exactly as in SwapEngine::certify. Correct at
+/// any size; the sharding pays off once straggler agents dominate (n in
+/// the thousands). With a memory budget (config.resources) the scans run
+/// against the blocked row cache, which is what admits n ≥ 65535 instances the dense
 /// O(n²) storage provably cannot fit.
 [[nodiscard]] ShardedCertificate certify_sharded(const Graph& g, UsageCost model,
                                                  bool include_deletions = false,

@@ -160,7 +160,7 @@ std::optional<ClassicMove> ClassicGame::best_deviation_engine(const SwapEngine& 
 }
 
 std::optional<ClassicMove> ClassicGame::best_deviation(Vertex v, BfsWorkspace& ws) const {
-  if (!swap_engine_enabled(graph_)) return best_deviation_naive(v, ws);
+  if (dense_paths_use_oracle(graph_)) return best_deviation_naive(v, ws);
   SwapEngine engine(graph_);
   SwapEngine::Scratch scratch;
   return best_deviation_engine(engine, scratch, v);
@@ -204,7 +204,7 @@ AlphaInterval ClassicGame::alpha_equilibrium_interval_naive() const {
 }
 
 AlphaInterval ClassicGame::alpha_equilibrium_interval() const {
-  if (!swap_engine_enabled(graph_)) return alpha_equilibrium_interval_naive();
+  if (dense_paths_use_oracle(graph_)) return alpha_equilibrium_interval_naive();
   AlphaInterval interval;
   const SwapEngine engine(graph_);
   SwapEngine::Scratch scratch;
@@ -258,18 +258,15 @@ void ClassicGame::apply(const ClassicMove& move) {
 }
 
 bool ClassicGame::is_greedy_equilibrium() const {
-  if (!swap_engine_enabled(graph_)) {
-    BfsWorkspace ws;
-    for (Vertex v = 0; v < graph_.num_vertices(); ++v) {
-      if (best_deviation_naive(v, ws)) return false;
-    }
-    return true;
-  }
   // One snapshot serves every agent — the graph is const here.
-  const SwapEngine engine(graph_);
+  std::optional<SwapEngine> engine;
+  if (!dense_paths_use_oracle(graph_)) engine.emplace(graph_);
   SwapEngine::Scratch scratch;
+  BfsWorkspace ws;
   for (Vertex v = 0; v < graph_.num_vertices(); ++v) {
-    if (best_deviation_engine(engine, scratch, v)) return false;
+    if (engine ? best_deviation_engine(*engine, scratch, v) : best_deviation_naive(v, ws)) {
+      return false;
+    }
   }
   return true;
 }
@@ -278,19 +275,18 @@ ClassicGame::RunResult ClassicGame::run_best_response(std::uint64_t max_moves) {
   RunResult result;
   BfsWorkspace ws;
   const Vertex n = graph_.num_vertices();
-  const bool engine_path = swap_engine_enabled(graph_);
   std::optional<SwapEngine> engine;
   SwapEngine::Scratch scratch;
-  if (engine_path) engine.emplace(graph_);
+  if (!dense_paths_use_oracle(graph_)) engine.emplace(graph_);
   for (;;) {
     bool any_move = false;
     for (Vertex v = 0; v < n; ++v) {
       if (result.moves >= max_moves) break;
       const auto move =
-          engine_path ? best_deviation_engine(*engine, scratch, v) : best_deviation_naive(v, ws);
+          engine ? best_deviation_engine(*engine, scratch, v) : best_deviation_naive(v, ws);
       if (!move) continue;
       apply(*move);
-      if (engine_path) engine->rebuild(graph_);  // snapshots are immutable
+      if (engine) engine->rebuild(graph_);  // snapshots are immutable
       ++result.moves;
       any_move = true;
     }

@@ -87,9 +87,11 @@ class ClassicGame {
 
   /// Best greedy deviation (add/delete/swap) for agent `v`; nullopt when
   /// none improves strictly. Routed: SwapEngine-backed (one masked APSP per
-  /// agent instead of one BFS per candidate) when swap_engine_enabled(),
-  /// else the naive scan — identical moves, gains, and tie-breaks either way
-  /// (differential suite: tests/test_classic_game_engine.cpp).
+  /// agent instead of one BFS per candidate) below n = 65535, the naive scan
+  /// under BNCG_FORCE_NAIVE or past the dense 16-bit encoding — identical
+  /// moves, gains, and tie-breaks either way (differential suite:
+  /// tests/test_classic_game_engine.cpp). The engine path is dense-only: it
+  /// throws DenseSlabRefused under a memory budget its n×n slab exceeds.
   [[nodiscard]] std::optional<ClassicMove> best_deviation(Vertex v, BfsWorkspace& ws) const;
 
   /// The brute-force oracle: direct mutation + one BFS per candidate move.

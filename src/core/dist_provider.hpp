@@ -104,12 +104,20 @@ class WidthAndBudgetPolicy {
   /// saturation-checked, not 16-bit-limited).
   [[nodiscard]] bool probe_prefers_u8(const CsrGraph& csr, BatchBfsWorkspace& ws) const;
 
+  /// Largest n at which a first-improvement scan takes the dense slab: it
+  /// usually stops a few rows in, so above this n streaming its rows wins
+  /// (DESIGN.md §16 has the measurements).
+  static constexpr Vertex kFirstScanDenseMaxVertices = 4096;
+
   /// True when a dense n×n scan slab at width `w` fits the per-lane budget
-  /// (and the dense scan's 16-bit encoding limit n < 65535 holds). False
-  /// selects RowStorage::Budgeted for that width.
+  /// (and the dense scan's 16-bit encoding limit n < 65535 holds).
   [[nodiscard]] bool dense_fits(Vertex n, DistWidth w) const noexcept;
-  [[nodiscard]] RowStorage storage_for(Vertex n, DistWidth w) const noexcept {
-    return dense_fits(n, w) ? RowStorage::Dense : RowStorage::Budgeted;
+  /// Dense when the slab fits (and a stop-at-first scan has n ≤
+  /// kFirstScanDenseMaxVertices); else budgeted, unbounded when unbudgeted.
+  [[nodiscard]] RowStorage storage_for(Vertex n, DistWidth w,
+                                       bool stop_at_first = false) const noexcept {
+    const bool dense = dense_fits(n, w) && (!stop_at_first || n <= kFirstScanDenseMaxVertices);
+    return dense ? RowStorage::Dense : RowStorage::Budgeted;
   }
 
  private:

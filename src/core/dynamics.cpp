@@ -14,115 +14,85 @@ namespace bncg {
 namespace {
 
 /// Move provider for the dynamics loop, in three tiers:
-///  * SearchState-backed (default, n within the auto cap): per-agent masked
-///    distance matrices are cached across moves and caught up lazily through
-///    the toggle journal, so a scan costs a streamed row update instead of a
-///    fresh masked APSP.
-///  * SwapEngine-backed (n too large for the matrix cache): one CSR snapshot
-///    per accepted move, one masked APSP per scan.
-///  * naive (BNCG_FORCE_NAIVE, or n too large for 16-bit distances): the
-///    original BFS-per-candidate oracle.
+///  * SearchState-backed (n ≤ kSearchStateAutoMaxVertices and its slab fits
+///    the resource budget): per-agent masked distance matrices are cached
+///    across moves and caught up lazily through the toggle journal, so a
+///    scan costs a streamed row update instead of a fresh masked APSP.
+///  * SwapEngine-backed (every other n): one CSR snapshot per accepted
+///    move, rows dense or budgeted as the engine's policy decides (the
+///    first-improvement scans stream above kFirstScanDenseMaxVertices).
+///  * naive (BNCG_FORCE_NAIVE): the original BFS-per-candidate oracle.
 /// All three return bit-identical deviations, so trajectories do not depend
-/// on the tier (differential-tested in tests/test_search_state.cpp).
+/// on the tier (differential-tested in tests/test_search_state.cpp). Each
+/// tier contributes only its first(v, include_deletions) / best(v) scans;
+/// the move selection and the certificate are written once over them.
 class MoveProvider {
  public:
   MoveProvider(const Graph& g, const DynamicsConfig& config)
-      : config_(config),
-        use_state_(search_state_enabled(g)),
-        use_engine_(!use_state_ && swap_engine_enabled(g)) {
-    if (use_state_) {
-      state_.emplace(g, config.cost,
-                     /*include_deletions=*/config.cost == UsageCost::Max &&
-                         config.allow_neutral_deletions,
-                     /*parallel=*/true, config.resources.width);
-    } else if (use_engine_) {
+      : g_(g),
+        config_(config),
+        deletions_(config.cost == UsageCost::Max && config.allow_neutral_deletions) {
+    if (search_state_enabled(g, config.resources)) {
+      state_.emplace(g, config.cost, deletions_, /*parallel=*/true, config.resources.width);
+    } else if (!force_naive_requested()) {
       engine_.emplace(g, config.resources);
     }
   }
 
   /// Must be called after every executed move (graph mutated accordingly).
-  void on_move(const Graph& g, const Deviation& dev) {
-    if (use_state_) {
+  void on_move(const Deviation& dev) {
+    if (state_) {
       if (dev.kind == Deviation::Kind::NonCriticalDelete) {
         state_->apply_deletion(dev.swap.v, dev.swap.remove_w);
       } else {
         state_->apply_swap(dev.swap);
       }
-      return;
+    } else if (engine_) {
+      engine_->rebuild(g_);
     }
-    if (use_engine_) engine_->rebuild(g);
   }
 
   /// Picks the deviation for agent `v` according to the configured model and
-  /// policy. Neutral deletions are only surfaced in the max model when asked.
-  std::optional<Deviation> agent_deviation(const Graph& g, Vertex v) {
-    const bool first = config_.policy == MovePolicy::FirstImprovement;
-    if (use_state_) {
-      if (config_.cost == UsageCost::Sum) {
-        return first ? state_->first_deviation(v) : state_->best_deviation(v);
-      }
-      if (first) {
-        return state_->first_deviation(v, config_.allow_neutral_deletions);
-      }
-      auto best = state_->best_deviation(v);
-      if (!best && config_.allow_neutral_deletions) {
-        best = state_->first_deviation(v, /*include_deletions=*/true);
-      }
-      return best;
-    }
-    if (use_engine_) {
-      if (config_.cost == UsageCost::Sum) {
-        return first ? engine_->first_deviation(v, UsageCost::Sum)
-                     : engine_->best_deviation(v, UsageCost::Sum);
-      }
-      if (first) {
-        return engine_->first_deviation(v, UsageCost::Max, config_.allow_neutral_deletions);
-      }
-      auto best = engine_->best_deviation(v, UsageCost::Max);
-      if (!best && config_.allow_neutral_deletions) {
-        best = engine_->first_deviation(v, UsageCost::Max, /*include_deletions=*/true);
-      }
-      return best;
-    }
-    if (config_.cost == UsageCost::Sum) {
-      return first ? naive::first_sum_deviation(g, v, ws_) : naive::best_sum_deviation(g, v, ws_);
-    }
-    if (first) {
-      return naive::first_max_deviation(g, v, ws_, config_.allow_neutral_deletions);
-    }
-    // Best-improvement in the max model: prefer the best improving swap, fall
-    // back to a neutral deletion (which never competes on cost_after).
-    auto best = naive::best_max_deviation(g, v, ws_);
-    if (!best && config_.allow_neutral_deletions) {
-      best = naive::first_max_deviation(g, v, ws_, /*include_deletions=*/true);
-    }
-    return best;
+  /// policy. Neutral deletions are only surfaced in the max model when asked;
+  /// under best-improvement they never compete on cost_after — the best
+  /// improving swap wins, a neutral deletion is the fallback.
+  std::optional<Deviation> agent_deviation(Vertex v) {
+    if (config_.policy == MovePolicy::FirstImprovement) return first(v, deletions_);
+    auto best_move = best(v);
+    if (!best_move && deletions_) best_move = first(v, /*include_deletions=*/true);
+    return best_move;
   }
 
   /// True iff the graph is in equilibrium for the configured game (including
   /// the deletion clause when neutral deletions participate in the max game).
-  bool certified(const Graph& g) {
-    if (use_state_) return state_->certify_current();
-    if (use_engine_) {
-      if (config_.cost == UsageCost::Sum) {
-        return engine_->certify(UsageCost::Sum, /*include_deletions=*/false).is_equilibrium;
-      }
-      return engine_->certify(UsageCost::Max, config_.allow_neutral_deletions).is_equilibrium;
-    }
-    if (config_.cost == UsageCost::Sum) return naive::certify_sum_equilibrium(g).is_equilibrium;
-    if (config_.allow_neutral_deletions) return naive::certify_max_equilibrium(g).is_equilibrium;
-    // Swap-only max dynamics: check swap stability for every agent.
-    const Vertex n = g.num_vertices();
-    for (Vertex v = 0; v < n; ++v) {
-      if (naive::first_max_deviation(g, v, ws_, /*include_deletions=*/false)) return false;
+  bool certified() {
+    if (state_) return state_->certify_current();
+    if (engine_) return engine_->certify(config_.cost, deletions_).is_equilibrium;
+    for (Vertex v = 0; v < g_.num_vertices(); ++v) {
+      if (first(v, deletions_)) return false;
     }
     return true;
   }
 
  private:
+  std::optional<Deviation> first(Vertex v, bool include_deletions) {
+    if (state_) return state_->first_deviation(v, include_deletions);
+    if (engine_) return engine_->first_deviation(v, config_.cost, include_deletions);
+    return config_.cost == UsageCost::Sum
+               ? naive::first_sum_deviation(g_, v, ws_)
+               : naive::first_max_deviation(g_, v, ws_, include_deletions);
+  }
+
+  std::optional<Deviation> best(Vertex v) {
+    if (state_) return state_->best_deviation(v);
+    if (engine_) return engine_->best_deviation(v, config_.cost);
+    return config_.cost == UsageCost::Sum ? naive::best_sum_deviation(g_, v, ws_)
+                                          : naive::best_max_deviation(g_, v, ws_);
+  }
+
+  const Graph& g_;
   const DynamicsConfig& config_;
-  bool use_state_;
-  bool use_engine_;
+  bool deletions_;
   std::optional<SearchState> state_;
   std::optional<SwapEngine> engine_;
   BfsWorkspace ws_;
@@ -176,7 +146,7 @@ DynamicsResult run_dynamics(Graph start, const DynamicsConfig& config) {
 
   bool out_of_budget = false;
   const auto post_move = [&](const Deviation& dev) {
-    provider.on_move(g, dev);
+    provider.on_move(dev);
     ++result.moves;
     if (config.record_trace) record(g, config.cost, result.moves, result.trace);
     if (config.detect_revisits && !result.revisited &&
@@ -193,7 +163,7 @@ DynamicsResult run_dynamics(Graph start, const DynamicsConfig& config) {
       // One pass = one globally best move.
       std::optional<Deviation> best;
       for (Vertex v = 0; v < n && !out_of_budget; ++v) {
-        const auto dev = provider.agent_deviation(g, v);
+        const auto dev = provider.agent_deviation(v);
         if (!dev) continue;
         // Rank by absolute improvement; neutral deletions rank last.
         const auto gain = [](const Deviation& d) {
@@ -210,7 +180,7 @@ DynamicsResult run_dynamics(Graph start, const DynamicsConfig& config) {
       if (config.scheduler == Scheduler::RandomOrder) rng.shuffle(order);
       for (const Vertex v : order) {
         if (out_of_budget) break;
-        const auto dev = provider.agent_deviation(g, v);
+        const auto dev = provider.agent_deviation(v);
         if (!dev) continue;
         execute(g, *dev);
         any_move = true;
@@ -224,7 +194,7 @@ DynamicsResult run_dynamics(Graph start, const DynamicsConfig& config) {
   // A quiet pass under FirstImprovement scanning is already an exhaustive
   // certificate for the *scanned* move set; re-certify explicitly so the
   // flag is trustworthy regardless of policy or early exit.
-  result.converged = !out_of_budget && provider.certified(g);
+  result.converged = !out_of_budget && provider.certified();
   return result;
 }
 

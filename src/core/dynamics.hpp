@@ -8,9 +8,10 @@
 //
 // Agent scans route through the incremental SearchState (cached per-agent
 // masked distance matrices, core/search_state.hpp) when n is within its
-// auto cap, through the delta-evaluation SwapEngine otherwise, and through
-// the naive BFS-per-candidate oracle under BNCG_FORCE_NAIVE — all three
-// produce bit-identical moves, so the tier never changes a trajectory.
+// auto cap and its slab fits config.resources' budget, through the
+// delta-evaluation SwapEngine otherwise, and through the naive
+// BFS-per-candidate oracle under BNCG_FORCE_NAIVE — all three produce
+// bit-identical moves, so the tier never changes a trajectory.
 //
 // Neither version admits an obvious potential function, so convergence is
 // not guaranteed a priori; the loop caps the number of moves and reports

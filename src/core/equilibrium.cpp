@@ -173,40 +173,34 @@ EquilibriumCertificate certify_max_equilibrium(const Graph& g) {
 }  // namespace naive
 
 std::optional<Deviation> best_sum_deviation(const Graph& g, Vertex v, BfsWorkspace& ws) {
-  if (!swap_engine_enabled(g)) return naive::best_sum_deviation(g, v, ws);
-  SwapEngine engine(g);
-  return engine.best_deviation(v, UsageCost::Sum);
+  if (force_naive_requested()) return naive::best_sum_deviation(g, v, ws);
+  return SwapEngine(g).best_deviation(v, UsageCost::Sum);
 }
 
 std::optional<Deviation> first_sum_deviation(const Graph& g, Vertex v, BfsWorkspace& ws) {
-  if (!swap_engine_enabled(g)) return naive::first_sum_deviation(g, v, ws);
-  SwapEngine engine(g);
-  return engine.first_deviation(v, UsageCost::Sum);
+  if (force_naive_requested()) return naive::first_sum_deviation(g, v, ws);
+  return SwapEngine(g).first_deviation(v, UsageCost::Sum);
 }
 
 std::optional<Deviation> best_max_deviation(const Graph& g, Vertex v, BfsWorkspace& ws) {
-  if (!swap_engine_enabled(g)) return naive::best_max_deviation(g, v, ws);
-  SwapEngine engine(g);
-  return engine.best_deviation(v, UsageCost::Max);
+  if (force_naive_requested()) return naive::best_max_deviation(g, v, ws);
+  return SwapEngine(g).best_deviation(v, UsageCost::Max);
 }
 
 std::optional<Deviation> first_max_deviation(const Graph& g, Vertex v, BfsWorkspace& ws,
                                              bool include_deletions) {
-  if (!swap_engine_enabled(g)) return naive::first_max_deviation(g, v, ws, include_deletions);
-  SwapEngine engine(g);
-  return engine.first_deviation(v, UsageCost::Max, include_deletions);
+  if (force_naive_requested()) return naive::first_max_deviation(g, v, ws, include_deletions);
+  return SwapEngine(g).first_deviation(v, UsageCost::Max, include_deletions);
 }
 
 EquilibriumCertificate certify_sum_equilibrium(const Graph& g) {
-  if (!swap_engine_enabled(g)) return naive::certify_sum_equilibrium(g);
-  const SwapEngine engine(g);
-  return engine.certify(UsageCost::Sum, /*include_deletions=*/false);
+  if (force_naive_requested()) return naive::certify_sum_equilibrium(g);
+  return SwapEngine(g).certify(UsageCost::Sum, /*include_deletions=*/false);
 }
 
 EquilibriumCertificate certify_max_equilibrium(const Graph& g) {
-  if (!swap_engine_enabled(g)) return naive::certify_max_equilibrium(g);
-  const SwapEngine engine(g);
-  return engine.certify(UsageCost::Max, /*include_deletions=*/true);
+  if (force_naive_requested()) return naive::certify_max_equilibrium(g);
+  return SwapEngine(g).certify(UsageCost::Max, /*include_deletions=*/true);
 }
 
 bool is_sum_equilibrium(const Graph& g) { return certify_sum_equilibrium(g).is_equilibrium; }
@@ -216,9 +210,10 @@ bool is_max_equilibrium(const Graph& g) { return certify_max_equilibrium(g).is_e
 bool is_deletion_critical(const Graph& g) {
   // Removing {u, v} must strictly increase *both* endpoints' local
   // diameters. Disconnecting deletions count as +∞ and therefore pass.
-  // One masked-APSP row read per endpoint on the CSR snapshot.
+  // One masked BFS per endpoint on the CSR snapshot, whose 16-bit
+  // traversal needs n < 65535; beyond that the mutation loop below serves.
   std::vector<Vertex> base_ecc = eccentricities(g);
-  if (swap_engine_enabled(g)) {
+  if (!dense_paths_use_oracle(g)) {
     const CsrGraph csr(g);
     BatchBfsWorkspace ws;
     std::vector<std::uint16_t> dist(g.num_vertices());

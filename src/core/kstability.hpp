@@ -43,8 +43,11 @@ struct KStabilityReport {
                                                       Vertex k);
 
 /// Graph-level single-agent form, routed through the SwapEngine k-insertion
-/// evaluator when swap_engine_enabled(g) (bit-identical verdict AND witness
-/// to the naive oracle — DESIGN.md §14), else bncg::naive::.
+/// evaluator (bit-identical verdict AND witness to the naive oracle —
+/// DESIGN.md §14), or bncg::naive:: under BNCG_FORCE_NAIVE. The engine's
+/// k-move paths are dense-only: they throw DenseSlabRefused when the n×n
+/// slab exceeds the memory budget (BNCG_MEM_BUDGET); at n ≥ 65535, beyond
+/// the dense 16-bit encoding, the routed forms use the oracle.
 [[nodiscard]] KStabilityReport insertion_stability_at(const Graph& g, Vertex v, Vertex k);
 
 /// Checks every vertex; exact. O(n) cover instances. Routed: the engine path
@@ -91,9 +94,8 @@ struct KStabilityReport {
 /// Brute-force oracles: the original full-recompute implementations (one
 /// DistanceMatrix per decision, one per deletion subset for swaps). The
 /// routed entry points above fall back to these when BNCG_FORCE_NAIVE is
-/// set or n exceeds the engine auto-enable cap; the differential suite
-/// tests/test_kstability_engine.cpp holds the engine to byte-identical
-/// reports against them.
+/// set; the differential suite tests/test_kstability_engine.cpp holds the
+/// engine to byte-identical reports against them.
 namespace naive {
 
 [[nodiscard]] KStabilityReport insertion_stability_at(const Graph& g, Vertex v, Vertex k);

@@ -24,44 +24,34 @@ std::uint64_t deviation_unrest(const std::optional<Deviation>& dev) {
   return std::max<std::uint64_t>(1, gain);
 }
 
-}  // namespace
-
-std::uint64_t sum_unrest(const Graph& g) {
-  std::uint64_t total = 0;
-  if (swap_engine_enabled(g)) {
-    // One CSR snapshot serves every agent's scan (the public per-agent API
-    // would rebuild it n times).
-    SwapEngine engine(g);
-    SwapEngine::Scratch scratch;
-    for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      total += deviation_unrest(engine.best_deviation(v, UsageCost::Sum, scratch));
-    }
-    return total;
-  }
+/// Σ_v deviation_unrest over every agent's best deviation in `model` (the
+/// max model with its deletion clause). One CSR snapshot serves every
+/// agent's scan — the public per-agent API would rebuild it n times — unless
+/// BNCG_FORCE_NAIVE routes the scans to the oracle.
+std::uint64_t total_unrest(const Graph& g, UsageCost model, const ResourceConfig& resources) {
+  const bool deletions = model == UsageCost::Max;
+  std::optional<SwapEngine> engine;
+  if (!force_naive_requested()) engine.emplace(g, resources);
+  SwapEngine::Scratch scratch;
   BfsWorkspace ws;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    total += deviation_unrest(naive::best_sum_deviation(g, v, ws));
-  }
+  const auto best = [&](Vertex v) {
+    if (engine) return engine->best_deviation(v, model, scratch, deletions);
+    return deletions ? naive::best_max_deviation(g, v, ws, /*include_deletions=*/true)
+                     : naive::best_sum_deviation(g, v, ws);
+  };
+  std::uint64_t total = 0;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) total += deviation_unrest(best(v));
   return total;
 }
 
-std::uint64_t max_unrest(const Graph& g) {
-  std::uint64_t total = 0;
-  if (swap_engine_enabled(g)) {
-    SwapEngine engine(g);
-    SwapEngine::Scratch scratch;
-    for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      total += deviation_unrest(
-          engine.best_deviation(v, UsageCost::Max, scratch, /*include_deletions=*/true));
-    }
-    return total;
-  }
-  BfsWorkspace ws;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    total += deviation_unrest(
-        naive::best_max_deviation(g, v, ws, /*include_deletions=*/true));
-  }
-  return total;
+}  // namespace
+
+std::uint64_t sum_unrest(const Graph& g, const ResourceConfig& resources) {
+  return total_unrest(g, UsageCost::Sum, resources);
+}
+
+std::uint64_t max_unrest(const Graph& g, const ResourceConfig& resources) {
+  return total_unrest(g, UsageCost::Max, resources);
 }
 
 std::optional<Graph> anneal_equilibrium(Graph start, const AnnealConfig& config,
@@ -92,10 +82,11 @@ std::optional<Graph> anneal_equilibrium(Graph start, const AnnealConfig& config,
 
   const bool incremental =
       config.evaluation == UnrestEval::Incremental ||
-      (config.evaluation == UnrestEval::Auto && search_state_enabled(start));
+      (config.evaluation == UnrestEval::Auto && search_state_enabled(start, config.resources));
 
   const auto unrest_of = [&](const Graph& g) {
-    return config.cost == UsageCost::Sum ? sum_unrest(g) : max_unrest(g);
+    return config.cost == UsageCost::Sum ? sum_unrest(g, config.resources)
+                                         : max_unrest(g, config.resources);
   };
 
   // Both evaluation paths run the exact same proposal/acceptance schedule —

@@ -33,14 +33,15 @@ namespace bncg {
 
 /// Σ_v (best available improvement of agent v's distance sum); 0 iff the
 /// graph is a sum equilibrium. A natural progress measure for search.
-/// Intended for connected graphs.
-[[nodiscard]] std::uint64_t sum_unrest(const Graph& g);
+/// Intended for connected graphs. `resources` bounds the engine's row
+/// storage (core/dist_provider.hpp); the value does not depend on it.
+[[nodiscard]] std::uint64_t sum_unrest(const Graph& g, const ResourceConfig& resources = {});
 
 /// Max-model counterpart: Σ_v max(1, best available improvement of agent
 /// v's local diameter), where an agent with only a cost-neutral deletion
 /// violation (the max-equilibrium deletion clause) contributes 1. Hence
 /// 0 ⇔ the graph is a max equilibrium. Intended for connected graphs.
-[[nodiscard]] std::uint64_t max_unrest(const Graph& g);
+[[nodiscard]] std::uint64_t max_unrest(const Graph& g, const ResourceConfig& resources = {});
 
 /// How anneal proposals are evaluated.
 enum class UnrestEval {

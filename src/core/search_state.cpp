@@ -124,8 +124,11 @@ constexpr std::uint64_t kPruneThresholdCap = std::uint64_t{1} << 40;
 
 }  // namespace
 
-bool search_state_enabled(const Graph& g) {
-  return !force_naive_requested() && g.num_vertices() <= kSearchStateAutoMaxVertices;
+bool search_state_enabled(const Graph& g, const ResourceConfig& resources) {
+  const std::uint64_t n = g.num_vertices();
+  const std::uint64_t budget = resolved_mem_budget(resources);
+  return !force_naive_requested() && n <= kSearchStateAutoMaxVertices &&
+         (budget == 0 || 2 * n * n * n <= budget);
 }
 
 template <typename Dist>

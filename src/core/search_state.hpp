@@ -72,6 +72,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/dist_provider.hpp"
 #include "core/equilibrium.hpp"
 #include "core/usage_cost.hpp"
 #include "graph/bfs_batch.hpp"
@@ -90,8 +91,10 @@ namespace bncg {
 inline constexpr Vertex kSearchStateAutoMaxVertices = 512;
 
 /// True when search and dynamics should route through SearchState: n within
-/// the auto-enable cap and BNCG_FORCE_NAIVE not set.
-[[nodiscard]] bool search_state_enabled(const Graph& g);
+/// kSearchStateAutoMaxVertices, the u16 slab bound 2·n³ within the budget
+/// `resources` resolves to (unset = unlimited), and BNCG_FORCE_NAIVE not
+/// set. Otherwise they run the SwapEngine (or, when forced, the oracle).
+[[nodiscard]] bool search_state_enabled(const Graph& g, const ResourceConfig& resources = {});
 
 /// Operation counters for benchmarks and the differential harness.
 struct SearchStats {

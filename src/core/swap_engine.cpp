@@ -38,6 +38,11 @@ constexpr Dist engine_max_finite() {
   }
 }
 
+template <typename Dist>
+constexpr DistWidth width_of() {
+  return std::is_same_v<Dist, std::uint8_t> ? DistWidth::U8 : DistWidth::U16;
+}
+
 // The combine reductions ((n−1) + Σ_u min(m_u, c_u), 1 + max_u min(m_u, c_u),
 // 1 + max_u m_u) and the scan-table maintenance loops now live in
 // util/simd.hpp as runtime-dispatched kernels; simd::kernels<Dist>() below
@@ -140,8 +145,17 @@ bool force_naive_requested() {
   return forced_naive;
 }
 
-bool swap_engine_enabled(const Graph& g) {
-  return !force_naive_requested() && g.num_vertices() <= kSwapEngineAutoMaxVertices;
+template <typename Attempt>
+bool SwapEngine::at_preferred_width(Attempt&& attempt) const {
+  if (prefer_u8_) {
+    if (attempt(std::uint8_t{})) return true;
+    width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return attempt(std::uint16_t{});
+}
+
+bool dense_paths_use_oracle(const Graph& g) {
+  return force_naive_requested() || g.num_vertices() >= kInfDist16;
 }
 
 void SwapEngine::rebuild(const Graph& g) {
@@ -159,11 +173,23 @@ void SwapEngine::rebuild(const Graph& g) {
   prefer_u8_ = budget_policy_.probe_prefers_u8(csr_, scratch_.bfs_);
 }
 
+void SwapEngine::require_dense(DistWidth w) const {
+  const Vertex n = csr_.num_vertices();
+  if (budget_policy_.dense_fits(n, w)) return;
+  const std::uint64_t slab = std::uint64_t{n} * n * (w == DistWidth::U8 ? 1 : 2);
+  const std::uint64_t lane = budget_policy_.lane_budget();
+  throw DenseSlabRefused(
+      "dense slab refused: the k-move and α-game engine paths need an n×n " +
+      std::string(dist_width_name(w)) + " slab of " + std::to_string(slab) +
+      " bytes (n = " + std::to_string(n) + "), but the per-lane budget is " +
+      (lane == 0 ? std::string("unlimited") : std::to_string(lane) + " bytes") +
+      (n >= kInfDist16 ? " and n is beyond the dense 16-bit encoding (n < 65535)" : ""));
+}
+
 std::uint64_t SwapEngine::agent_cost(Vertex v, UsageCost model, Scratch& s) const {
   const Vertex n = csr_.num_vertices();
   BNCG_REQUIRE(v < n, "vertex id out of range");
-  BNCG_REQUIRE(n < kInfDist16,
-               "agent_cost serves the dense-only k-swap and α-game paths (n < 65535)");
+  BNCG_REQUIRE(n < kInfDist16, "agent_cost runs a 16-bit BFS (n < 65535)");
   s.base_.resize(n);
   const BfsResult r = csr_bfs(csr_, v, MaskedEdge{}, s.base_.data(), s.bfs_);
   if (!r.spans(n)) return kInfCost;
@@ -373,26 +399,22 @@ std::optional<Deviation> SwapEngine::scan_agent(Vertex v, UsageCost model, bool 
                                                 Scratch& s) const {
   const Vertex n = csr_.num_vertices();
   std::optional<Deviation> out;
-  if (prefer_u8_) {
-    // Run the narrow scan against a local move counter so a saturating
-    // sweep leaves the caller's count untouched — the u16 redo recounts the
-    // identical scan order, keeping move counts width-independent.
-    std::uint64_t narrow_moves = 0;
-    std::uint64_t* narrow = moves_checked != nullptr ? &narrow_moves : nullptr;
-    if (scan_agent_t<std::uint8_t>(v, model, budget_policy_.storage_for(n, DistWidth::U8),
-                                   stop_at_first, include_deletions, narrow, s, out)) {
-      if (moves_checked != nullptr) *moves_checked += narrow_moves;
-      return out;
-    }
-    width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Dense u16 cannot saturate under its n < 65535 gate; budgeted u16 can —
-  // a masked diameter beyond 65534 — and there is no wider width to redo at.
-  BNCG_REQUIRE(scan_agent_t<std::uint16_t>(v, model, budget_policy_.storage_for(n, DistWidth::U16),
-                                           stop_at_first, include_deletions, moves_checked, s,
-                                           out),
+  // Each attempt counts into a fresh local, so a saturating u8 sweep leaves
+  // the caller's count untouched — the u16 redo recounts the identical scan
+  // order, keeping move counts width-independent. Budgeted u16 can saturate
+  // (a masked diameter beyond 65534), and there is no wider width to redo at.
+  std::uint64_t moves = 0;
+  std::uint64_t* counter = moves_checked != nullptr ? &moves : nullptr;
+  BNCG_REQUIRE(at_preferred_width([&](auto tag) {
+                 using Dist = decltype(tag);
+                 moves = 0;
+                 return scan_agent_t<Dist>(
+                     v, model, budget_policy_.storage_for(n, width_of<Dist>(), stop_at_first),
+                     stop_at_first, include_deletions, counter, s, out);
+               }),
                "u16 scan saturated: some masked distance exceeds the 16-bit encoding; this "
                "instance is beyond the engine's distance range");
+  if (counter != nullptr) *moves_checked += moves;
   return out;
 }
 
@@ -461,9 +483,7 @@ EquilibriumCertificate SwapEngine::certify(UsageCost model, bool include_deletio
 template <typename Dist>
 bool SwapEngine::full_apsp_t(Scratch& s) const {
   const Vertex n = csr_.num_vertices();
-  BNCG_REQUIRE(n < kInfDist16,
-               "the k-move deviation paths are dense-only (n < 65535); the budget applies to "
-               "the basic-game scans");
+  require_dense(width_of<Dist>());
   auto& rows = s.rows<Dist>();
   rows.apsp.resize(static_cast<std::size_t>(n) * n);
   return csr_apsp_capped<Dist>(csr_, MaskedEdge{}, rows.apsp.data(), s.bfs_,
@@ -518,15 +538,12 @@ void SwapEngine::insertion_report_t(const Dist* apsp, Vertex v, Vertex k_lo, Ver
 KStabilityReport SwapEngine::insertion_stability_at(Vertex v, Vertex k, Scratch& s) const {
   BNCG_REQUIRE(v < csr_.num_vertices(), "vertex id out of range");
   KStabilityReport out;
-  if (prefer_u8_) {
-    if (full_apsp_t<std::uint8_t>(s)) {
-      insertion_report_t<std::uint8_t>(s.rows8_.apsp.data(), v, k, k, s, out, nullptr);
-      return out;
-    }
-    width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-  (void)full_apsp_t<std::uint16_t>(s);  // u16 distances cannot saturate (n < 65535)
-  insertion_report_t<std::uint16_t>(s.rows16_.apsp.data(), v, k, k, s, out, nullptr);
+  (void)at_preferred_width([&](auto tag) {
+    using Dist = decltype(tag);
+    if (!full_apsp_t<Dist>(s)) return false;
+    insertion_report_t<Dist>(s.rows<Dist>().apsp.data(), v, k, k, s, out, nullptr);
+    return true;
+  });
   return out;
 }
 
@@ -534,21 +551,22 @@ Vertex SwapEngine::max_tolerated_insertions(Vertex v, Vertex k_max, Scratch& s) 
   BNCG_REQUIRE(v < csr_.num_vertices(), "vertex id out of range");
   KStabilityReport out;
   Vertex tolerated = k_max;
-  if (prefer_u8_) {
-    if (full_apsp_t<std::uint8_t>(s)) {
-      insertion_report_t<std::uint8_t>(s.rows8_.apsp.data(), v, 1, k_max, s, out, &tolerated);
-      return tolerated;
-    }
-    width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-  (void)full_apsp_t<std::uint16_t>(s);
-  insertion_report_t<std::uint16_t>(s.rows16_.apsp.data(), v, 1, k_max, s, out, &tolerated);
+  (void)at_preferred_width([&](auto tag) {
+    using Dist = decltype(tag);
+    if (!full_apsp_t<Dist>(s)) return false;
+    insertion_report_t<Dist>(s.rows<Dist>().apsp.data(), v, 1, k_max, s, out, &tolerated);
+    return true;
+  });
   return tolerated;
 }
 
 template <typename Dist>
 KStabilityReport SwapEngine::insertion_sweep_t(const Dist* apsp, Vertex k) const {
   const Vertex n = csr_.num_vertices();
+  // Connectivity is checked up front on row 0 (spanning from one vertex
+  // spans from all) so the per-agent REQUIRE never fires inside the pool.
+  BNCG_REQUIRE(*std::max_element(apsp, apsp + n) < engine_inf<Dist>(),
+               "k-stability analysis requires a connected graph");
 
   // Per-agent instances are independent given the shared rows; results land
   // in per-agent slots and fold serially, so the reported witness is the
@@ -583,35 +601,19 @@ KStabilityReport SwapEngine::insertion_sweep_t(const Dist* apsp, Vertex k) const
 }
 
 KStabilityReport SwapEngine::insertion_stability(Vertex k) const {
-  const Vertex n = csr_.num_vertices();
-  if (n == 0) return {};
-  BNCG_REQUIRE(n < kInfDist16,
-               "the k-move deviation paths are dense-only (n < 65535); the budget applies to "
-               "the basic-game scans");
+  if (csr_.num_vertices() == 0) return {};
   // The whole sweep shares one *unmasked* batched APSP: the insertion cover
   // condition reads full-graph rows only (see build_cover_sets), so no
-  // per-agent traversal survives. Connectivity is checked up front on row 0
-  // (spanning from one vertex spans from all) so the per-agent REQUIRE never
-  // fires inside the pool.
-  BatchBfsWorkspace bfs;
-  if (prefer_u8_) {
-    AlignedVec<std::uint8_t> apsp(static_cast<std::size_t>(n) * n);
-    if (csr_apsp_capped<std::uint8_t>(csr_, MaskedEdge{}, apsp.data(), bfs, kNoVertex,
-                                      engine_inf<std::uint8_t>(),
-                                      engine_max_finite<std::uint8_t>())) {
-      BNCG_REQUIRE(*std::max_element(apsp.begin(), apsp.begin() + n) < engine_inf<std::uint8_t>(),
-                   "k-stability analysis requires a connected graph");
-      return insertion_sweep_t<std::uint8_t>(apsp.data(), k);
-    }
-    width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-  AlignedVec<std::uint16_t> apsp(static_cast<std::size_t>(n) * n);
-  (void)csr_apsp_capped<std::uint16_t>(csr_, MaskedEdge{}, apsp.data(), bfs, kNoVertex,
-                                       engine_inf<std::uint16_t>(),
-                                       engine_max_finite<std::uint16_t>());
-  BNCG_REQUIRE(*std::max_element(apsp.begin(), apsp.begin() + n) < engine_inf<std::uint16_t>(),
-               "k-stability analysis requires a connected graph");
-  return insertion_sweep_t<std::uint16_t>(apsp.data(), k);
+  // per-agent traversal survives.
+  Scratch s;
+  KStabilityReport out;
+  (void)at_preferred_width([&](auto tag) {
+    using Dist = decltype(tag);
+    if (!full_apsp_t<Dist>(s)) return false;
+    out = insertion_sweep_t<Dist>(s.rows<Dist>().apsp.data(), k);
+    return true;
+  });
+  return out;
 }
 
 template <typename Dist>
@@ -637,6 +639,7 @@ bool SwapEngine::swap_stability_t(Vertex v, Vertex k, std::uint64_t old_ecc, Scr
   // One masked APSP of G − v serves every deletion subset D: (G − D) − v is
   // G − v, so each subset only changes WHICH neighbor rows fold into v's
   // post-deletion profile, never the rows themselves.
+  require_dense(width_of<Dist>());
   auto& rows = s.rows<Dist>();
   rows.apsp.resize(static_cast<std::size_t>(n) * n);
   if (!csr_apsp_capped<Dist>(csr_, MaskedEdge{}, rows.apsp.data(), s.bfs_,
@@ -687,11 +690,9 @@ KStabilityReport SwapEngine::swap_stability_at(Vertex v, Vertex k, Scratch& s) c
   KStabilityReport out;
   out.witness_vertex = v;
   if (old_ecc <= 1 || k == 0) return out;
-  if (prefer_u8_) {
-    if (swap_stability_t<std::uint8_t>(v, k, old_ecc, s, out)) return out;
-    width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-  (void)swap_stability_t<std::uint16_t>(v, k, old_ecc, s, out);
+  (void)at_preferred_width([&](auto tag) {
+    return swap_stability_t<decltype(tag)>(v, k, old_ecc, s, out);
+  });
   return out;
 }
 
@@ -707,6 +708,7 @@ bool SwapEngine::alpha_scan_t(Vertex v, const std::vector<std::uint8_t>& owned,
   // isolated agent runs the masked APSP: an added edge v–w gives the profile
   // 1 + min(min1, c_w) (the source-removal identity over N(v) ∪ {w}). The
   // α paths are dense-only, so every row below reads the slab directly.
+  require_dense(width_of<Dist>());
   if (!neighbor_fold_t<Dist>(v, RowStorage::Dense, s)) return false;
   auto& rows = s.rows<Dist>();
   rows.mrow.resize(n);
@@ -741,11 +743,7 @@ const std::vector<AlphaCandidate>& SwapEngine::alpha_scan(Vertex v,
                                                           Scratch& s) const {
   BNCG_REQUIRE(v < csr_.num_vertices(), "vertex id out of range");
   BNCG_REQUIRE(owned.size() >= csr_.num_vertices(), "owned flags must cover every vertex");
-  if (prefer_u8_) {
-    if (alpha_scan_t<std::uint8_t>(v, owned, s)) return s.alpha_;
-    width_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-  (void)alpha_scan_t<std::uint16_t>(v, owned, s);
+  (void)at_preferred_width([&](auto tag) { return alpha_scan_t<decltype(tag)>(v, owned, s); });
   return s.alpha_;
 }
 

@@ -47,19 +47,22 @@
 // brute-force oracle (differential-tested on hundreds of random instances —
 // across widths too, see tests/test_width_fuzz.cpp).
 //
-// BNCG_FORCE_NAIVE=1 routes the auto-selecting entry points back to the
-// oracles: the free certifiers and deviation finders (core/equilibrium),
-// the k-move checks (core/kstability), ClassicGame, the tree game, the
-// lemma checks, the unrest measures, anneal's Auto evaluation, and
-// run_dynamics (hence Instance::equilibrate). It does NOT route anything
-// that builds a SwapEngine explicitly: certify_sharded (hence
-// Instance::certify), certify_agent_range, and every bncg_certify mode
-// (worker, serve, certify) always run the engine.
+// The auto-selecting entry points (core/equilibrium, core/kstability,
+// ClassicGame, the tree game, the lemma checks, the unrest measures, anneal
+// and run_dynamics, hence Instance::equilibrate) run the engine at every n;
+// BNCG_FORCE_NAIVE=1 routes them to the oracles. Storage is the
+// WidthAndBudgetPolicy's decision, not a route: unbudgeted, a large-n full
+// scan allocates a dense n×n slab per lane, which BNCG_MEM_BUDGET bounds.
+// The dense-only k-move and α-game paths refuse a budget below their slab
+// (DenseSlabRefused). The toggle does NOT route what builds a SwapEngine
+// explicitly: certify_sharded (hence Instance::certify),
+// certify_agent_range, and every bncg_certify mode.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -75,23 +78,22 @@
 
 namespace bncg {
 
-/// Largest n for which the public entry points auto-select the engine. The
-/// per-thread Scratch holds an n×n matrix (16 MB at this cap in u8, twice
-/// that in u16), so unbounded auto-enablement would trade the naive path's
-/// O(n) memory for multi-gigabyte allocations long before the 16-bit
-/// encoding limit. Callers that accept the memory bill can always construct
-/// a SwapEngine directly (hard limit: n < 65535); core/certify_sharded.hpp
-/// is the packaged way to do that for large-n certification.
-inline constexpr Vertex kSwapEngineAutoMaxVertices = 4096;
-
-/// True iff BNCG_FORCE_NAIVE is set (read once per process): every
-/// auto-selecting tier — swap_engine_enabled, search_state_enabled, the tree
-/// game — consults this one helper so the env var toggles them together.
+/// True iff BNCG_FORCE_NAIVE is set (read once per process): the one
+/// engine/oracle switch every auto-selecting tier consults, at every n.
 [[nodiscard]] bool force_naive_requested();
 
-/// True when the engine should back the public certifier entry points:
-/// n within the auto-enable cap and BNCG_FORCE_NAIVE is not set.
-[[nodiscard]] bool swap_engine_enabled(const Graph& g);
+/// The oracle route of the dense-only entry points (k-move, ClassicGame,
+/// is_deletion_critical): BNCG_FORCE_NAIVE, or n ≥ 65535, past the dense
+/// 16-bit encoding. A budget below the slab throws DenseSlabRefused instead.
+[[nodiscard]] bool dense_paths_use_oracle(const Graph& g);
+
+/// Thrown by the dense-only engine paths (k-move, α-game) when their n×n
+/// slab exceeds the per-lane budget share or n ≥ 65535; the message states
+/// the slab bytes and the lane budget.
+class DenseSlabRefused : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 /// One α-game usage evaluation from SwapEngine::alpha_scan, emitted in
 /// exactly the order ClassicGame's naive scan enumerates moves (adds by
@@ -269,6 +271,11 @@ class SwapEngine {
       Vertex v, const std::vector<std::uint8_t>& owned, Scratch& scratch) const;
 
  private:
+  /// The one width dispatch: `attempt(Dist{})` at u8 when preferred, redone
+  /// at u16 when it saturates (returns false); returns the last attempt's.
+  template <typename Attempt>
+  bool at_preferred_width(Attempt&& attempt) const;
+
   std::optional<Deviation> scan_agent(Vertex v, UsageCost model, bool stop_at_first,
                                       bool include_deletions, std::uint64_t* moves_checked,
                                       Scratch& scratch) const;
@@ -298,6 +305,10 @@ class SwapEngine {
                                   bool stop_at_first, bool include_deletions,
                                   std::uint64_t* moves_checked, Scratch& scratch,
                                   std::optional<Deviation>& out) const;
+
+  /// The dense-only paths' one storage check: DenseSlabRefused unless
+  /// budget_policy_.dense_fits(n, w).
+  void require_dense(DistWidth w) const;
 
   /// Unmasked capped APSP of the snapshot into scratch (shared by the
   /// insertion paths, which need full-graph rows). False on u8 saturation.

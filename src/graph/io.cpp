@@ -3,6 +3,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string>
 
 namespace bncg {
 
@@ -16,7 +17,11 @@ Graph read_edge_list(std::istream& is) {
   if (!(is >> n >> m) || n < 0 || m < 0) {
     throw std::invalid_argument("edge list: bad header");
   }
-  BNCG_REQUIRE(n <= (1ll << 31), "edge list: vertex count too large");
+  if (n > kMaxEdgeListVertices) {
+    throw std::invalid_argument("edge list: header vertex count " + std::to_string(n) +
+                                " exceeds the supported maximum " +
+                                std::to_string(kMaxEdgeListVertices));
+  }
   Graph g(static_cast<Vertex>(n));
   for (long long i = 0; i < m; ++i) {
     long long u = -1, v = -1;

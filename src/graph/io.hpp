@@ -17,8 +17,14 @@ namespace bncg {
 /// Writes "n m" on the first line, then one "u v" pair per edge.
 void write_edge_list(std::ostream& os, const Graph& g);
 
+/// Largest vertex count an edge-list header may declare: 2²⁶ vertices
+/// already cost 1.5 GiB of adjacency headers before the first edge, so a
+/// larger header is refused up front instead of failing in the allocator.
+inline constexpr long long kMaxEdgeListVertices = 1ll << 26;
+
 /// Parses the write_edge_list format. Throws std::invalid_argument on
-/// malformed input (bad counts, out-of-range ids, duplicate edges).
+/// malformed input (bad counts, a vertex count above kMaxEdgeListVertices,
+/// out-of-range ids, duplicate edges).
 [[nodiscard]] Graph read_edge_list(std::istream& is);
 
 /// Graphviz DOT (undirected). `name` is the graph identifier in the output.

@@ -47,6 +47,10 @@ TEST(Io, EdgeListRejectsMalformedInput) {
     std::stringstream ss("3 2\n0 1\n0 1\n");  // duplicate edge
     EXPECT_THROW((void)read_edge_list(ss), std::invalid_argument);
   }
+  {
+    std::stringstream ss("2000000000 0\n");  // refused before any allocation
+    EXPECT_THROW((void)read_edge_list(ss), std::invalid_argument);
+  }
 }
 
 TEST(Io, DotOutputContainsAllEdges) {

@@ -126,6 +126,14 @@ TEST(RowCache, PolicyWidthThresholds) {
   WidthAndBudgetPolicy unlimited{ResourceConfig{}, /*lanes=*/1};
   EXPECT_TRUE(unlimited.dense_fits(1000, DistWidth::U8));
   EXPECT_FALSE(unlimited.dense_fits(kInfDist16, DistWidth::U16));
+  // First-improvement scans stream above kFirstScanDenseMaxVertices even
+  // when the slab fits; full scans keep it.
+  constexpr Vertex kFirstCap = WidthAndBudgetPolicy::kFirstScanDenseMaxVertices;
+  EXPECT_EQ(unlimited.storage_for(kFirstCap, DistWidth::U16, /*stop_at_first=*/true),
+            RowStorage::Dense);
+  EXPECT_EQ(unlimited.storage_for(kFirstCap + 1, DistWidth::U8, /*stop_at_first=*/true),
+            RowStorage::Budgeted);
+  EXPECT_EQ(unlimited.storage_for(kFirstCap + 1, DistWidth::U8), RowStorage::Dense);
   // A 10-byte lane budget rejects any dense slab bigger than 3×3.
   ResourceConfig tiny;
   tiny.mem_budget = 10;

@@ -10,8 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "core/classic_game.hpp"
+#include "core/dynamics.hpp"
 #include "core/equilibrium.hpp"
+#include "core/kstability.hpp"
+#include "core/search_state.hpp"
 #include "gen/classic.hpp"
 #include "gen/paper.hpp"
 #include "gen/random.hpp"
@@ -217,6 +224,170 @@ TEST(SwapEngine, MoveCountsMatchOracle) {
     (void)engine.best_deviation(v, UsageCost::Sum, scratch, false, &moves);
     const std::uint64_t non_neighbors = n - 1 - g.degree(v);
     EXPECT_EQ(moves, static_cast<std::uint64_t>(g.degree(v)) * non_neighbors);
+  }
+}
+
+// ------------------------------------------------------------ engine routing
+//
+// The auto-selecting entry points run the engine at every n; only
+// BNCG_FORCE_NAIVE routes them to the oracle. The force_naive_routing CTest
+// entry reruns this suite with it set, so both routes must match the
+// oracle here.
+
+/// Sparse connected instance with n > 4096 (a 16 MiB dense u8 slab per
+/// lane): large n must not change the route.
+const Graph& routing_instance() {
+  static const Graph g = [] {
+    Xoshiro256ss rng(0x4100);
+    return random_connected_gnm(4100, 3 * 4100 / 2, rng);
+  }();
+  return g;
+}
+
+/// The agent the routing checks scan: a peripheral leaf (largest
+/// eccentricity, so first-improvement scans stop early) whose one edge the
+/// default ClassicGame ownership gives to its lower-id neighbor. The oracle
+/// pays one BFS per candidate, so one agent keeps the suite to seconds.
+Vertex routing_agent() {
+  static const Vertex agent = [] {
+    const Graph& g = routing_instance();
+    BfsWorkspace ws;
+    Vertex best = kNoVertex;
+    std::uint64_t best_ecc = 0;
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      if (g.degree(v) != 1 || g.neighbors(v).front() > v) continue;
+      const std::uint64_t ecc = vertex_cost(g, v, UsageCost::Max, ws);
+      if (best == kNoVertex || ecc > best_ecc) {
+        best = v;
+        best_ecc = ecc;
+      }
+    }
+    return best;
+  }();
+  return agent;
+}
+
+TEST(EngineRouting, DeviationsAtLargeNMatchTheOracle) {
+  const Graph& g = routing_instance();
+  ASSERT_GT(g.num_vertices(), 4096u);
+  const Vertex n = g.num_vertices();
+  const Vertex v = routing_agent();
+  ASSERT_NE(v, kNoVertex);
+  BfsWorkspace ws;
+  expect_same_deviation(best_sum_deviation(g, v, ws), naive::best_sum_deviation(g, v, ws),
+                        "routed best sum");
+  expect_same_deviation(first_sum_deviation(g, v, ws), naive::first_sum_deviation(g, v, ws),
+                        "routed first sum");
+  expect_same_deviation(best_max_deviation(g, v, ws), naive::best_max_deviation(g, v, ws),
+                        "routed best max");
+  expect_same_deviation(first_max_deviation(g, v, ws, /*include_deletions=*/true),
+                        naive::first_max_deviation(g, v, ws, /*include_deletions=*/true),
+                        "routed first max+del");
+  // The oracle checks one candidate per (incident edge, non-neighbor) pair,
+  // plus one deletion per incident edge under the deletion clause.
+  // Above kFirstScanDenseMaxVertices the first-improvement scans above
+  // streamed their rows; the full scans ran dense.
+  const SwapEngine engine(g);
+  const WidthAndBudgetPolicy& policy = engine.budget_policy();
+  EXPECT_EQ(policy.storage_for(n, engine.preferred_width(), /*stop_at_first=*/true),
+            RowStorage::Budgeted);
+  EXPECT_EQ(policy.storage_for(n, engine.preferred_width()), RowStorage::Dense);
+  SwapEngine::Scratch scratch;
+  std::uint64_t moves = 0;
+  (void)engine.best_deviation(v, UsageCost::Max, scratch, /*include_deletions=*/true, &moves);
+  EXPECT_EQ(moves, std::uint64_t{g.degree(v)} * (n - 1 - g.degree(v)) + g.degree(v));
+}
+
+TEST(EngineRouting, KMoveAndAlphaGameAtLargeNMatchTheOracle) {
+  const Graph& g = routing_instance();
+  const Vertex v = routing_agent();
+  const KStabilityReport got = insertion_stability_at(g, v, 2);
+  const KStabilityReport want = naive::insertion_stability_at(g, v, 2);
+  EXPECT_FALSE(want.stable);  // a witness to compare
+  EXPECT_EQ(got.stable, want.stable);
+  EXPECT_EQ(got.witness_vertex, want.witness_vertex);
+  EXPECT_EQ(got.witness_endpoints, want.witness_endpoints);
+
+  const ClassicGame game(g, /*alpha=*/2.0);
+  BfsWorkspace ws;
+  const std::optional<ClassicMove> move = game.best_deviation(v, ws);
+  const std::optional<ClassicMove> oracle = game.best_deviation_naive(v, ws);
+  ASSERT_TRUE(oracle.has_value());
+  ASSERT_TRUE(move.has_value());
+  EXPECT_EQ(move->type, oracle->type);
+  EXPECT_EQ(move->w, oracle->w);
+  EXPECT_EQ(move->w2, oracle->w2);
+  EXPECT_EQ(move->gain, oracle->gain);
+}
+
+TEST(EngineRouting, DenseOnlyPathsRefuseABudgetBelowTheSlab) {
+  const Graph g = cycle(40);  // diameter 20: the dense u8 slab, 40 · 40 bytes
+  const SwapEngine engine(g, {.mem_budget = 1024});
+  ASSERT_EQ(engine.preferred_width(), DistWidth::U8);
+  SwapEngine::Scratch scratch;
+  std::vector<std::uint8_t> owned(40, 0);
+  owned[1] = 1;
+  EXPECT_THROW((void)engine.insertion_stability(1), DenseSlabRefused);
+  EXPECT_THROW((void)engine.insertion_stability_at(0, 1, scratch), DenseSlabRefused);
+  EXPECT_THROW((void)engine.alpha_scan(0, owned, scratch), DenseSlabRefused);
+  try {
+    (void)engine.insertion_stability(1);
+  } catch (const DenseSlabRefused& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("1600 bytes"), std::string::npos) << what;
+    const std::string lane = std::to_string(engine.budget_policy().lane_budget());
+    EXPECT_NE(what.find("per-lane budget is " + lane + " bytes"), std::string::npos) << what;
+  }
+  // The basic-game scans honor the same budget through the row cache.
+  BfsWorkspace ws;
+  expect_same_deviation(engine.best_deviation(0, UsageCost::Sum, scratch),
+                        naive::best_sum_deviation(g, 0, ws), "budgeted best sum");
+}
+
+TEST(EngineRouting, DenseOnlyPathsRefuseBeyondTheSixteenBitEncoding) {
+  const Graph g = path(65536);
+  EXPECT_THROW((void)SwapEngine(g).insertion_stability(1), DenseSlabRefused);
+}
+
+TEST(EngineRouting, UnbudgetedRoutesPastTheSixteenBitEncodingUseTheOracle) {
+  // No budget is set, so n ≥ 65535 is no refusal for the routed entry
+  // points: the dense-only engine has no storage there and the oracle
+  // serves. A star's center (ecc 1) is swap-stable at every k.
+  const Graph g = star(65536);
+  EXPECT_TRUE(dense_paths_use_oracle(g));
+  EXPECT_TRUE(swap_stability_at(g, 0, 2).stable);
+  SwapEngine::Scratch scratch;
+  EXPECT_THROW((void)SwapEngine(g).swap_stability_at(0, 2, scratch), std::invalid_argument);
+  // Below the encoding limit only BNCG_FORCE_NAIVE picks the oracle.
+  EXPECT_EQ(dense_paths_use_oracle(routing_instance()), force_naive_requested());
+}
+
+TEST(EngineRouting, DynamicsTrajectoryIsIndependentOfTheSearchStateBudget) {
+  Xoshiro256ss rng(0xB0D6);
+  const Graph start = random_connected_gnm(48, 96, rng);
+  const std::uint64_t slab = 2ull * 48 * 48 * 48;  // SearchState's u16 bound
+  EXPECT_FALSE(search_state_enabled(start, {.mem_budget = slab - 1}));
+  EXPECT_EQ(search_state_enabled(start, {.mem_budget = slab}), !force_naive_requested());
+  for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
+    DynamicsConfig config;
+    config.cost = model;
+    config.policy = model == UsageCost::Max ? MovePolicy::BestImprovement
+                                            : MovePolicy::FirstImprovement;
+    config.allow_neutral_deletions = model == UsageCost::Max;
+    config.record_trace = true;
+    const DynamicsResult free_run = run_dynamics(start, config);
+    config.resources.mem_budget = slab - 1;
+    const DynamicsResult budgeted = run_dynamics(start, config);
+    EXPECT_GT(free_run.moves, 0u);
+    EXPECT_EQ(budgeted.moves, free_run.moves);
+    EXPECT_EQ(budgeted.passes, free_run.passes);
+    EXPECT_EQ(budgeted.converged, free_run.converged);
+    EXPECT_EQ(budgeted.graph.edges(), free_run.graph.edges());
+    ASSERT_EQ(budgeted.trace.size(), free_run.trace.size());
+    for (std::size_t i = 0; i < free_run.trace.size(); ++i) {
+      EXPECT_EQ(budgeted.trace[i].social_cost, free_run.trace[i].social_cost);
+      EXPECT_EQ(budgeted.trace[i].diameter, free_run.trace[i].diameter);
+    }
   }
 }
 
