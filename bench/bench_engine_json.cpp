@@ -38,7 +38,7 @@
 // §16 quotes for the residency-vs-recompute trade.
 //
 // A second "kernels" section microbenchmarks the dispatched SIMD kernels
-// (util/simd.hpp) directly: each scan-table / combine / addition kernel is
+// (util/simd.hpp) directly: every simd::Kernels entry at both widths is
 // timed at n = 1024 once with the dispatch pinned to scalar and once at the
 // startup-active level (cpuid-capped, BNCG_SIMD-overridable), on the same
 // inputs and with identical fixed repetition counts, so the per-call ratio
@@ -46,6 +46,7 @@
 // levels — the exactness contract, enforced even inside the bench.
 //
 // Usage: bench_engine_json [output.json] [max_n]
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -597,6 +598,91 @@ void measure_kernels(std::vector<KernelRow>& rows, SimdLevel active) {
                           static_cast<Dist>(3), n, inf);
       },
       [&] { return fold_u64(dst); });
+
+  bench_kernel(
+      rows, width, "deletion_ecc", n, 20000, active, [&] { acc = 0; },
+      [&] { acc += kern.deletion_ecc(m.data(), n, inf); }, [&] { return acc; });
+
+  bench_kernel(
+      rows, width, "r1_sub", n, 20000, active, [&] { r1.assign(n, 0); },
+      [&] { kern.r1_sub(r1.data(), static_cast<Dist>(3), src.data(), n); },
+      [&] { return fold_u64(r1); });
+
+  bench_kernel(
+      rows, width, "row_sum_max", n, 20000, active, [&] { acc = 0; },
+      [&] {
+        std::uint32_t sum = 0;
+        Dist mx = 0;
+        kern.row_sum_max(m.data(), n, &sum, &mx);
+        acc = acc * 31 + sum + mx;
+      },
+      [&] { return acc; });
+
+  bench_kernel(
+      rows, width, "finite_max2", n, 20000, active, [&] { acc = 0; },
+      [&] {
+        Dist eu = 0;
+        Dist ev = 0;
+        kern.finite_max2(ru.data(), rv.data(), n, inf, &eu, &ev);
+        acc = acc * 31 + eu + (std::uint64_t{ev} << 16);
+      },
+      [&] { return acc; });
+
+  // The index filters: calls sum their hit counts, and the checksum adds
+  // the last call's emitted indices (every call emits the same ones). The
+  // caps put the far filter's pass rate near a quarter (plus the infinite
+  // sprinkle) and the cover filter's near a quarter; skip is mid-row.
+  AlignedVec<std::uint32_t> idx(n);
+  std::uint32_t hits = 0;
+  const std::uint32_t skip = n / 2;
+  const auto hits_checksum = [&] {
+    std::uint64_t sum = acc;
+    for (std::uint32_t i = 0; i < hits; ++i) sum = sum * 1315423911u + idx[i];
+    return sum;
+  };
+  const auto cap_at = [](std::int32_t quarters) {
+    return static_cast<std::int32_t>(kMaxFiniteFor<Dist>) * quarters / 4;
+  };
+  bench_kernel(
+      rows, width, "collect_above", n, 20000, active, [&] { acc = 0; },
+      [&] { acc += hits = kern.collect_above(m.data(), n, cap_at(3), skip, idx.data()); },
+      hits_checksum);
+
+  bench_kernel(
+      rows, width, "collect_below", n, 20000, active, [&] { acc = 0; },
+      [&] { acc += hits = kern.collect_below(m.data(), n, cap_at(1), skip, idx.data()); },
+      hits_checksum);
+
+  // min_fold: the k-way deviation fold, one neighbor row per call.
+  std::size_t fold_z = 0;
+  bench_kernel(
+      rows, width, "min_fold", n, 20000, active,
+      [&] {
+        dst.assign(n, inf);
+        fold_z = 0;
+      },
+      [&] {
+        kern.min_fold(dst.data(), nbr[fold_z].data(), n);
+        fold_z = (fold_z + 1) % kFolds;
+      },
+      [&] { return fold_u64(dst); });
+
+  // The dirty-row filters read rows of adjacent vertices, whose entries
+  // differ by at most a few hops: near[y] = ru[y] + {-1, 0, +1, +2}.
+  AlignedVec<Dist> near(n);
+  for (std::uint32_t y = 0; y < n; ++y) {
+    const std::int64_t v = std::int64_t{ru[y]} + static_cast<std::int64_t>(rng.below(4)) - 1;
+    near[y] = static_cast<Dist>(std::clamp<std::int64_t>(v, 0, inf));
+  }
+  bench_kernel(
+      rows, width, "collect_absdiff_eq1", n, 20000, active, [&] { acc = 0; },
+      [&] { acc += hits = kern.collect_absdiff_eq1(ru.data(), near.data(), n, idx.data()); },
+      hits_checksum);
+
+  bench_kernel(
+      rows, width, "collect_absdiff_gt1", n, 20000, active, [&] { acc = 0; },
+      [&] { acc += hits = kern.collect_absdiff_gt1(ru.data(), near.data(), n, idx.data()); },
+      hits_checksum);
 }
 
 std::vector<KernelRow> measure_all_kernels() {

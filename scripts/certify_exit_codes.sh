@@ -69,6 +69,25 @@ graph="$work_dir/instance.edges"
 expect_rc 0 "certify on a small instance" \
   "$bin" certify --graph "$graph"
 
+# A misspelt BNCG_SIMD still runs (auto dispatch) but says so once on
+# stderr; the certificate is the one the unset run prints.
+env -u BNCG_SIMD "$bin" certify --graph "$graph" >"$work_dir/simd_unset.txt" 2>/dev/null
+simd_rc=0
+BNCG_SIMD=avx-2 "$bin" certify --graph "$graph" >"$work_dir/simd_typo.txt" \
+  2>"$work_dir/simd_typo.log" || simd_rc=$?
+simd_warnings="$(grep -c '^bncg: ' "$work_dir/simd_typo.log" || true)"
+simd_warning_ok="$(grep -cx 'bncg: ignoring BNCG_SIMD=avx-2 (expected scalar|avx2|avx512|auto|0)' \
+  "$work_dir/simd_typo.log" || true)"
+if [ "$simd_rc" -eq 0 ] && [ "$simd_warnings" -eq 1 ] && [ "$simd_warning_ok" -eq 1 ] &&
+   cmp -s "$work_dir/simd_unset.txt" "$work_dir/simd_typo.txt"; then
+  echo "certify_exit_codes: OK   misspelt BNCG_SIMD warns once and certifies as unset"
+else
+  echo "certify_exit_codes: FAIL misspelt BNCG_SIMD: exit $simd_rc, $simd_warnings warning(s)," \
+       "certificate $(cmp -s "$work_dir/simd_unset.txt" "$work_dir/simd_typo.txt" &&
+                      echo identical || echo differs)" >&2
+  failures=$(( failures + 1 ))
+fi
+
 # --- exit 1: usage / environment errors ------------------------------------
 expect_rc 1 "unknown mode" "$bin" frobnicate
 expect_rc 1 "unknown flag" "$bin" certify --graph "$graph" --frobnicate

@@ -44,6 +44,41 @@ std::uint64_t total_unrest(const Graph& g, UsageCost model, const ResourceConfig
   return total;
 }
 
+/// The annealing schedule, written once over both evaluation paths:
+/// `propose(u, v)` stages the toggle and reports whether it passes the
+/// connectivity/diameter screen, `evaluate()` prices the staged graph and
+/// `commit()` accepts it. Both paths draw the same rng values in the same
+/// order and compute the same unrest values, so trajectories are identical
+/// (differential-tested in tests/test_search_state.cpp and the search
+/// bench). Returns the final unrest.
+template <typename Propose, typename Evaluate, typename Commit>
+std::uint64_t anneal_loop(std::uint64_t current_unrest, const AnnealConfig& config, Vertex n,
+                          Xoshiro256ss& rng, AnnealStats& st, Propose&& propose,
+                          Evaluate&& evaluate, Commit&& commit) {
+  double temperature = config.initial_temperature;
+  for (std::uint64_t step = 0; step < config.steps && current_unrest > 0; ++step) {
+    temperature *= config.cooling;
+    const Vertex u = static_cast<Vertex>(rng.below(n));
+    const Vertex v = static_cast<Vertex>(rng.below(n));
+    if (u == v) continue;
+    ++st.proposals;
+    if (!propose(u, v)) {
+      ++st.filtered;
+      continue;
+    }
+    const std::uint64_t proposal_unrest = evaluate();
+    ++st.evaluated;
+    const double delta =
+        static_cast<double>(proposal_unrest) - static_cast<double>(current_unrest);
+    if (delta <= 0 || rng.uniform01() < std::exp(-delta / temperature)) {
+      commit();
+      current_unrest = proposal_unrest;
+      ++st.accepted;
+    }
+  }
+  return current_unrest;
+}
+
 }  // namespace
 
 std::uint64_t sum_unrest(const Graph& g, const ResourceConfig& resources) {
@@ -83,16 +118,8 @@ std::optional<Graph> anneal_equilibrium(Graph start, const AnnealConfig& config,
   const bool incremental =
       config.evaluation == UnrestEval::Incremental ||
       (config.evaluation == UnrestEval::Auto && search_state_enabled(start, config.resources));
+  const Vertex target = config.target_diameter;
 
-  const auto unrest_of = [&](const Graph& g) {
-    return config.cost == UsageCost::Sum ? sum_unrest(g, config.resources)
-                                         : max_unrest(g, config.resources);
-  };
-
-  // Both evaluation paths run the exact same proposal/acceptance schedule —
-  // same rng draws in the same order, same filter semantics, same unrest
-  // values — so trajectories are identical (differential-tested in
-  // tests/test_search_state.cpp and the search bench).
   if (incremental) {
     // Width seed: the nudge loop above just proved the diameter equals the
     // target, so under Auto the storage width follows from the unified
@@ -101,73 +128,43 @@ std::optional<Graph> anneal_equilibrium(Graph start, const AnnealConfig& config,
     // identical trajectories (saturation still promotes exactly).
     WidthPolicy width = config.resources.width;
     if (width == WidthPolicy::Auto) {
-      width = WidthAndBudgetPolicy::policy_for_max_distance(config.target_diameter);
+      width = WidthAndBudgetPolicy::policy_for_max_distance(target);
     }
     SearchState state(std::move(start), config.cost,
                       /*include_deletions=*/config.cost == UsageCost::Max,
                       /*parallel=*/true, width);
-    std::uint64_t current_unrest = state.unrest();
-    double temperature = config.initial_temperature;
-    for (std::uint64_t step = 0; step < config.steps && current_unrest > 0; ++step) {
-      temperature *= config.cooling;
-      const Vertex u = static_cast<Vertex>(rng.below(n));
-      const Vertex v = static_cast<Vertex>(rng.below(n));
-      if (u == v) continue;
-      ++st.proposals;
-      const ToggleShape shape = state.propose_toggle(u, v);
-      if (!shape.connected || shape.diameter != config.target_diameter) {
-        ++st.filtered;
-        continue;
-      }
-      const std::uint64_t proposal_unrest = state.proposal_unrest();
-      ++st.evaluated;
-      const double delta =
-          static_cast<double>(proposal_unrest) - static_cast<double>(current_unrest);
-      if (delta <= 0 || rng.uniform01() < std::exp(-delta / temperature)) {
-        state.commit();
-        current_unrest = proposal_unrest;
-        ++st.accepted;
-      }
-    }
-    st.final_unrest = current_unrest;
+    st.final_unrest = anneal_loop(
+        state.unrest(), config, n, rng, st,
+        [&](Vertex u, Vertex v) {
+          const ToggleShape shape = state.propose_toggle(u, v);
+          return shape.connected && shape.diameter == target;
+        },
+        [&] { return state.proposal_unrest(); }, [&] { state.commit(); });
     st.dist_width = state.width();
     st.width_promotions = state.stats().promotions;
-    if (current_unrest == 0) return state.graph();
+    if (st.final_unrest == 0) return state.graph();
     return std::nullopt;
   }
 
+  const auto unrest_of = [&](const Graph& g) {
+    return config.cost == UsageCost::Sum ? sum_unrest(g, config.resources)
+                                         : max_unrest(g, config.resources);
+  };
   Graph current = std::move(start);
-  std::uint64_t current_unrest = unrest_of(current);
-  double temperature = config.initial_temperature;
-
-  for (std::uint64_t step = 0; step < config.steps && current_unrest > 0; ++step) {
-    temperature *= config.cooling;
-    const Vertex u = static_cast<Vertex>(rng.below(n));
-    const Vertex v = static_cast<Vertex>(rng.below(n));
-    if (u == v) continue;
-    ++st.proposals;
-    Graph proposal = current;
-    if (proposal.has_edge(u, v)) {
-      proposal.remove_edge(u, v);
-    } else {
-      proposal.add_edge(u, v);
-    }
-    if (!is_connected(proposal) || diameter(proposal) != config.target_diameter) {
-      ++st.filtered;
-      continue;
-    }
-    const std::uint64_t proposal_unrest = unrest_of(proposal);
-    ++st.evaluated;
-    const double delta =
-        static_cast<double>(proposal_unrest) - static_cast<double>(current_unrest);
-    if (delta <= 0 || rng.uniform01() < std::exp(-delta / temperature)) {
-      current = std::move(proposal);
-      current_unrest = proposal_unrest;
-      ++st.accepted;
-    }
-  }
-  st.final_unrest = current_unrest;
-  if (current_unrest == 0) return current;
+  Graph proposal;
+  st.final_unrest = anneal_loop(
+      unrest_of(current), config, n, rng, st,
+      [&](Vertex u, Vertex v) {
+        proposal = current;
+        if (proposal.has_edge(u, v)) {
+          proposal.remove_edge(u, v);
+        } else {
+          proposal.add_edge(u, v);
+        }
+        return is_connected(proposal) && diameter(proposal) == target;
+      },
+      [&] { return unrest_of(proposal); }, [&] { current = std::move(proposal); });
+  if (st.final_unrest == 0) return current;
   return std::nullopt;
 }
 

@@ -3,6 +3,7 @@
 #include "util/simd.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
@@ -225,7 +226,11 @@ SimdLevel requested_level(SimdLevel fallback) noexcept {
   if (v == "scalar" || v == "0") return SimdLevel::Scalar;
   if (v == "avx2") return SimdLevel::Avx2;
   if (v == "avx512") return SimdLevel::Avx512;
-  return fallback;  // "auto" and anything unrecognized
+  if (v != "auto") {
+    std::fprintf(stderr, "bncg: ignoring BNCG_SIMD=%s (expected scalar|avx2|avx512|auto|0)\n",
+                 env);
+  }
+  return fallback;
 }
 
 struct Dispatch {

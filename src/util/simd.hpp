@@ -19,11 +19,15 @@
 //
 // Dispatch model: one function-pointer table per distance width (u8/u16 —
 // the width-adaptive encodings of graph/dist_width.hpp) plus one for the
-// 64-bit BFS frontier words. Tables are filled scalar-first, then each
-// compiled-and-supported level overwrites the entries it implements, so a
-// level never needs to provide every kernel. `BNCG_SIMD=scalar|avx2|avx512|
-// auto` caps the level at startup; simd_set_level() re-caps it at runtime
-// for tests and benchmarks (single-threaded callers only).
+// 64-bit BFS frontier words. Each vector kernel is written once, as a
+// template in util/simd_body.hpp over a thin per-ISA vector layer; the
+// AVX2 and AVX-512 translation units each instantiate every body for both
+// widths under their own -m flags. Tables are filled scalar-first, then
+// each compiled-and-supported level overwrites them with its
+// instantiations. `BNCG_SIMD=scalar|avx2|avx512|auto` caps the level at
+// startup (any other value warns once on stderr and means auto);
+// simd_set_level() re-caps it at runtime for tests and benchmarks
+// (single-threaded callers only).
 //
 // Alignment: AlignedVec allocates on 64-byte boundaries so matrix rows of
 // power-of-two n start cache-line- (and at n ≥ 64 vector-) aligned. The
