@@ -102,10 +102,10 @@ int main(int argc, char** argv) {
 
     // The same verdict once more through the cross-process pipeline
     // (DESIGN.md §11), simulated in-process: three "worker" shards, each
-    // with its own engine, round-tripped through the wire format (binary
-    // and JSON alternating) and merged by the fingerprint-guarded fold —
-    // exactly what tools/bncg_certify + scripts/certify_fanout.sh do
-    // across real processes.
+    // with its own engine, round-tripped through the binary wire format
+    // and merged by the fingerprint-guarded fold — exactly what
+    // tools/bncg_certify + scripts/certify_fanout.sh do across real
+    // processes.
     {
       const Vertex n = g.num_vertices();
       std::vector<ShardResult> shards;
@@ -118,8 +118,7 @@ int main(int argc, char** argv) {
         range.shard_count = 3;
         const ShardResult produced = certify_agent_range(
             worker_engine, range, UsageCost::Max, /*include_deletions=*/true);
-        shards.push_back(i % 2 == 0 ? shard_from_binary(shard_to_binary(produced))
-                                    : shard_from_json(shard_to_json(produced)));
+        shards.push_back(shard_from_binary(shard_to_binary(produced)));
       }
       const ShardedCertificate merged = merge_shard_results(shards);
       std::cout << "wire fan-out:       "

@@ -139,6 +139,19 @@ if [ "$usage_line_count" -ne 1 ]; then
 else
   echo "certify_exit_codes: OK   usage errors lead with a one-line diagnostic"
 fi
+# Shard files have one encoding: the retired --format flag is an unknown
+# argument like any other.
+expect_rc 1 "worker with the retired --format json" \
+  "$bin" worker --graph "$graph" --range 0:24 --shard-index 0 --shard-count 1 \
+    --out "$work_dir/format.shard" --format json
+format_diags="$("$bin" worker --graph "$graph" --range 0:24 --shard-index 0 --shard-count 1 \
+  --out "$work_dir/format.shard" --format json 2>&1 >/dev/null | grep -c '^bncg_certify: ' || true)"
+if [ "$format_diags" -eq 1 ]; then
+  echo "certify_exit_codes: OK   --format json gets one bncg_certify: diagnostic"
+else
+  echo "certify_exit_codes: FAIL --format json printed $format_diags bncg_certify: lines" >&2
+  failures=$(( failures + 1 ))
+fi
 
 # --- exit 3: wire/merge/handshake guard refusals ----------------------------
 other="$work_dir/other.edges"
@@ -153,6 +166,33 @@ expect_rc 3 "merge of shards from two different instances" \
 printf 'garbage, not a shard\n' >"$work_dir/garbage.shard"
 expect_rc 3 "merge of a corrupt shard file" \
   "$bin" merge "$work_dir/garbage.shard"
+
+# A full-coverage shard in the retired JSON form, checksum-valid in that
+# form, is an ordinary corrupt input: shard readers are binary-only.
+cat >"$work_dir/json.shard" <<'EOF'
+{
+  "format": "bncg-shard",
+  "version": 1,
+  "fingerprint": "0x0123456789abcdef",
+  "n": 512,
+  "m": "1024",
+  "model": "max",
+  "include_deletions": true,
+  "stop_on_violation": false,
+  "width": "u8",
+  "shard_index": 0,
+  "shard_count": 1,
+  "agent_lo": 0,
+  "agent_hi": 512,
+  "scanned": 512,
+  "moves": "123456789",
+  "width_fallbacks": "3",
+  "witness": null,
+  "checksum": "0x7f3154a8936be31e"
+}
+EOF
+expect_rc 3 "merge of a JSON-form shard file" \
+  "$bin" merge "$work_dir/json.shard"
 
 # Handshake refusal: a worker whose loaded instance differs from the served
 # one is turned away at connect (and must report exit 3, not a transport

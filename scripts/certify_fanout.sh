@@ -14,7 +14,6 @@
 #   --m M              edges (default 2n)
 #   --seed S           instance seed (default 1)
 #   --model sum|max|both   usage-cost model(s) to run (default both)
-#   --format binary|json   shard wire format (default binary)
 #   --bin PATH         bncg_certify binary (default: $BNCG_CERTIFY_BIN, else
 #                      build it into ${BNCG_BUILD_DIR:-<repo>/build})
 #   --keep-dir         keep the scratch directory (prints its path)
@@ -27,7 +26,6 @@ n=512
 m=""
 seed=1
 models="both"
-format="binary"
 bin="${BNCG_CERTIFY_BIN:-}"
 keep_dir=0
 
@@ -38,7 +36,6 @@ while [ "$#" -gt 0 ]; do
     --m) m="$2"; shift 2 ;;
     --seed) seed="$2"; shift 2 ;;
     --model) models="$2"; shift 2 ;;
-    --format) format="$2"; shift 2 ;;
     --bin) bin="$2"; shift 2 ;;
     --keep-dir) keep_dir=1; shift ;;
     *) echo "certify_fanout: unknown option: $1" >&2; exit 2 ;;
@@ -103,7 +100,7 @@ for model in $model_list; do
     # shellcheck disable=SC2086
     "$bin" worker --graph "$graph" --range "${lo}:${hi}" \
       --shard-index "$i" --shard-count "$workers" \
-      --model "$model" $deletions_flag --format "$format" \
+      --model "$model" $deletions_flag \
       --out "$shard" 2>>"$work_dir/${model}.worker.log" &
     pids+=($!)
   done
@@ -144,7 +141,7 @@ for model in $model_list; do
     exit 1
   fi
   verdict="$(grep -o 'verdict=[A-Z]*' "$work_dir/${model}.merged")"
-  echo "certify_fanout: model=$model workers=$workers n=$n m=$m format=$format" \
+  echo "certify_fanout: model=$model workers=$workers n=$n m=$m" \
        "$verdict — merged == single-process"
 done
 echo "certify_fanout: OK"

@@ -4,104 +4,47 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
-#include "graph/io.hpp"
 #include "util/error.hpp"
 
 namespace bncg {
 
 namespace {
 
-// ----------------------------------------------------------------- binary
-
-void append_u8(std::string& out, std::uint8_t v) { out.push_back(static_cast<char>(v)); }
-
-void append_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-/// Bounds-checked little-endian reader over a byte view.
-class ByteCursor {
- public:
-  explicit ByteCursor(std::string_view bytes) : bytes_(bytes) {}
-
-  [[nodiscard]] std::uint8_t u8() {
-    BNCG_REQUIRE(pos_ + 1 <= bytes_.size(), "shard wire: truncated");
-    return static_cast<std::uint8_t>(bytes_[pos_++]);
-  }
-  [[nodiscard]] std::uint32_t u32() {
-    BNCG_REQUIRE(pos_ + 4 <= bytes_.size(), "shard wire: truncated");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes_[pos_ + i])) << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  [[nodiscard]] std::uint64_t u64() {
-    BNCG_REQUIRE(pos_ + 8 <= bytes_.size(), "shard wire: truncated");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes_[pos_ + i])) << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  [[nodiscard]] bool exhausted() const noexcept { return pos_ == bytes_.size(); }
-
- private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
-
-[[nodiscard]] std::uint8_t bool_byte(bool b) { return b ? 1 : 0; }
-
-[[nodiscard]] bool byte_bool(std::uint8_t v) {
-  BNCG_REQUIRE(v <= 1, "shard wire: boolean field out of range");
-  return v != 0;
-}
-
-/// Canonical field encoding shared by both formats: the binary layout's
-/// body, and the byte sequence the JSON checksum is computed over.
 [[nodiscard]] std::string encode_body(const ShardResult& r) {
   std::string out;
-  append_u32(out, kShardWireVersion);
-  append_u64(out, r.fingerprint);
-  append_u32(out, r.n);
-  append_u64(out, r.m);
-  append_u8(out, r.model == UsageCost::Sum ? 0 : 1);
-  append_u8(out, bool_byte(r.include_deletions));
-  append_u8(out, bool_byte(r.stop_on_violation));
-  append_u8(out, r.width == DistWidth::U8 ? 0 : 1);
-  append_u32(out, r.shard_index);
-  append_u32(out, r.shard_count);
-  append_u32(out, r.agent_lo);
-  append_u32(out, r.agent_hi);
-  append_u32(out, r.scanned);
-  append_u64(out, r.moves);
-  append_u64(out, r.width_fallbacks);
-  append_u8(out, bool_byte(r.best.has_value()));
+  put_u32(out, kShardWireVersion);
+  put_u64(out, r.fingerprint);
+  put_u32(out, r.n);
+  put_u64(out, r.m);
+  put_model(out, r.model);
+  put_bool(out, r.include_deletions);
+  put_bool(out, r.stop_on_violation);
+  put_u8(out, r.width == DistWidth::U8 ? 0 : 1);
+  put_u32(out, r.shard_index);
+  put_u32(out, r.shard_count);
+  put_u32(out, r.agent_lo);
+  put_u32(out, r.agent_hi);
+  put_u32(out, r.scanned);
+  put_u64(out, r.moves);
+  put_u64(out, r.width_fallbacks);
+  put_bool(out, r.best.has_value());
   if (r.best) {
-    append_u32(out, r.best->swap.v);
-    append_u32(out, r.best->swap.remove_w);
-    append_u32(out, r.best->swap.add_w);
-    append_u64(out, r.best->cost_before);
-    append_u64(out, r.best->cost_after);
-    append_u8(out, r.best->kind == Deviation::Kind::ImprovingSwap ? 0 : 1);
+    put_u32(out, r.best->swap.v);
+    put_u32(out, r.best->swap.remove_w);
+    put_u32(out, r.best->swap.add_w);
+    put_u64(out, r.best->cost_before);
+    put_u64(out, r.best->cost_after);
+    put_u8(out, r.best->kind == Deviation::Kind::ImprovingSwap ? 0 : 1);
   }
   return out;
 }
 
-/// Structural sanity every decoder enforces before a result is handed out;
+/// Structural sanity the decoder enforces before a result is handed out;
 /// the deeper run-consistency checks live in merge_shard_results.
 void validate_shard(const ShardResult& r) {
   BNCG_REQUIRE(r.agent_lo <= r.agent_hi && r.agent_hi <= r.n, "shard wire: bad agent range");
@@ -116,18 +59,16 @@ void validate_shard(const ShardResult& r) {
 }
 
 [[nodiscard]] ShardResult decode_body(std::string_view body) {
-  ByteCursor in(body);
+  PayloadReader in(body);
   const std::uint32_t version = in.u32();
   BNCG_REQUIRE(version == kShardWireVersion, "shard wire: unsupported version");
   ShardResult r;
   r.fingerprint = in.u64();
   r.n = in.u32();
   r.m = in.u64();
-  const std::uint8_t model = in.u8();
-  BNCG_REQUIRE(model <= 1, "shard wire: bad model byte");
-  r.model = model == 0 ? UsageCost::Sum : UsageCost::Max;
-  r.include_deletions = byte_bool(in.u8());
-  r.stop_on_violation = byte_bool(in.u8());
+  r.model = read_model(in);
+  r.include_deletions = in.boolean();
+  r.stop_on_violation = in.boolean();
   const std::uint8_t width = in.u8();
   BNCG_REQUIRE(width <= 1, "shard wire: bad width byte");
   r.width = width == 0 ? DistWidth::U8 : DistWidth::U16;
@@ -138,7 +79,7 @@ void validate_shard(const ShardResult& r) {
   r.scanned = in.u32();
   r.moves = in.u64();
   r.width_fallbacks = in.u64();
-  if (byte_bool(in.u8())) {
+  if (in.boolean()) {
     Deviation dev;
     dev.swap.v = in.u32();
     dev.swap.remove_w = in.u32();
@@ -150,392 +91,29 @@ void validate_shard(const ShardResult& r) {
     dev.kind = kind == 0 ? Deviation::Kind::ImprovingSwap : Deviation::Kind::NonCriticalDelete;
     r.best = dev;
   }
-  BNCG_REQUIRE(in.exhausted(), "shard wire: trailing bytes");
+  in.expect_end();
   validate_shard(r);
   return r;
-}
-
-// ------------------------------------------------------------------- JSON
-
-void append_json_u64(std::string& out, const char* key, std::uint64_t v, bool comma = true) {
-  out += "  \"";
-  out += key;
-  out += "\": ";
-  out += std::to_string(v);
-  out += comma ? ",\n" : "\n";
-}
-
-[[nodiscard]] std::string hex_string(std::uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-void append_json_str(std::string& out, const char* key, std::string_view v,
-                     bool comma = true) {
-  out += "  \"";
-  out += key;
-  out += "\": \"";
-  out += v;
-  out += comma ? "\",\n" : "\"\n";
-}
-
-void append_json_bool(std::string& out, const char* key, bool v) {
-  out += "  \"";
-  out += key;
-  out += "\": ";
-  out += v ? "true" : "false";
-  out += ",\n";
-}
-
-/// Minimal recursive-descent reader for exactly the object shape
-/// shard_to_json emits: flat string keys; u64 / string / bool / null /
-/// one nested witness object as values. Anything else throws — decoding a
-/// hostile or damaged file must fail cleanly, never read out of bounds.
-class JsonCursor {
- public:
-  explicit JsonCursor(std::string_view text) : text_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    BNCG_REQUIRE(pos_ < text_.size() && text_[pos_] == c, "shard json: malformed structure");
-    ++pos_;
-  }
-
-  [[nodiscard]] bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] char peek() {
-    skip_ws();
-    BNCG_REQUIRE(pos_ < text_.size(), "shard json: truncated");
-    return text_[pos_];
-  }
-
-  [[nodiscard]] std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      BNCG_REQUIRE(pos_ < text_.size(), "shard json: unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      // The format never emits escapes or control characters; reject both
-      // rather than implement a partial escape decoder.
-      BNCG_REQUIRE(c != '\\' && static_cast<unsigned char>(c) >= 0x20,
-                   "shard json: unsupported character in string");
-      out.push_back(c);
-    }
-  }
-
-  [[nodiscard]] std::uint64_t u64() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
-    BNCG_REQUIRE(pos_ > start, "shard json: expected unsigned integer");
-    std::uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text_.data() + start, text_.data() + pos_, value, 10);
-    BNCG_REQUIRE(ec == std::errc() && ptr == text_.data() + pos_,
-                 "shard json: integer out of range");
-    return value;
-  }
-
-  [[nodiscard]] bool boolean() {
-    skip_ws();
-    if (text_.substr(pos_, 4) == "true") {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.substr(pos_, 5) == "false") {
-      pos_ += 5;
-      return false;
-    }
-    BNCG_REQUIRE(false, "shard json: expected boolean");
-    return false;  // unreachable
-  }
-
-  [[nodiscard]] bool consume_null() {
-    skip_ws();
-    if (text_.substr(pos_, 4) == "null") {
-      pos_ += 4;
-      return true;
-    }
-    return false;
-  }
-
-  /// Full-range u64 carried as a string ("0x…" hex or decimal) — JSON
-  /// numbers above 2^53 silently lose precision in double-based tooling,
-  /// so fingerprints, checksums, and witness costs never ride as numbers.
-  [[nodiscard]] std::uint64_t u64_string() {
-    const std::string text = string();
-    std::uint64_t value = 0;
-    const bool hex = text.size() > 2 && text[0] == '0' && text[1] == 'x';
-    const char* first = text.data() + (hex ? 2 : 0);
-    const char* last = text.data() + text.size();
-    BNCG_REQUIRE(first != last, "shard json: empty integer string");
-    const auto [ptr, ec] = std::from_chars(first, last, value, hex ? 16 : 10);
-    BNCG_REQUIRE(ec == std::errc() && ptr == last, "shard json: bad integer string");
-    return value;
-  }
-
-  void expect_end() {
-    skip_ws();
-    BNCG_REQUIRE(pos_ == text_.size(), "shard json: trailing content");
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-[[nodiscard]] Vertex json_vertex(std::uint64_t v, const char* what) {
-  BNCG_REQUIRE(v <= 0xFFFFFFFFull, what);
-  return static_cast<Vertex>(v);
-}
-
-[[nodiscard]] std::uint32_t json_u32(std::uint64_t v, const char* what) {
-  BNCG_REQUIRE(v <= 0xFFFFFFFFull, what);
-  return static_cast<std::uint32_t>(v);
-}
-
-[[nodiscard]] Deviation parse_json_witness(JsonCursor& in) {
-  Deviation dev;
-  bool seen_v = false, seen_remove = false, seen_add = false, seen_before = false,
-       seen_after = false, seen_kind = false;
-  in.expect('{');
-  if (!in.consume('}')) {
-    do {
-      const std::string key = in.string();
-      in.expect(':');
-      const auto once = [&](bool& seen) {
-        BNCG_REQUIRE(!seen, "shard json: duplicate witness key");
-        seen = true;
-      };
-      if (key == "v") {
-        once(seen_v);
-        dev.swap.v = json_vertex(in.u64(), "shard json: witness v out of range");
-      } else if (key == "remove_w") {
-        once(seen_remove);
-        dev.swap.remove_w = json_vertex(in.u64(), "shard json: witness remove_w out of range");
-      } else if (key == "add_w") {
-        once(seen_add);
-        dev.swap.add_w = json_vertex(in.u64(), "shard json: witness add_w out of range");
-      } else if (key == "cost_before") {
-        once(seen_before);
-        dev.cost_before = in.u64_string();
-      } else if (key == "cost_after") {
-        once(seen_after);
-        dev.cost_after = in.u64_string();
-      } else if (key == "kind") {
-        once(seen_kind);
-        const std::string kind = in.string();
-        if (kind == "improving-swap") {
-          dev.kind = Deviation::Kind::ImprovingSwap;
-        } else if (kind == "non-critical-delete") {
-          dev.kind = Deviation::Kind::NonCriticalDelete;
-        } else {
-          BNCG_REQUIRE(false, "shard json: unknown witness kind");
-        }
-      } else {
-        BNCG_REQUIRE(false, "shard json: unknown witness key");
-      }
-    } while (in.consume(','));
-    in.expect('}');
-  }
-  BNCG_REQUIRE(seen_v && seen_remove && seen_add && seen_before && seen_after && seen_kind,
-               "shard json: missing witness key");
-  return dev;
 }
 
 }  // namespace
 
 std::string shard_to_binary(const ShardResult& shard) {
-  const std::string body = encode_body(shard);
-  std::string out;
-  out.reserve(kShardWireMagic.size() + body.size() + 8);
-  out += kShardWireMagic;
-  out += body;
-  append_u64(out, fnv1a64(body.data(), body.size()));
-  return out;
+  return seal(kShardWireMagic, encode_body(shard));
 }
 
 ShardResult shard_from_binary(std::string_view bytes) {
-  BNCG_REQUIRE(bytes.size() >= kShardWireMagic.size() + 8, "shard wire: truncated");
-  BNCG_REQUIRE(bytes.substr(0, kShardWireMagic.size()) == kShardWireMagic,
-               "shard wire: bad magic");
-  const std::string_view body =
-      bytes.substr(kShardWireMagic.size(), bytes.size() - kShardWireMagic.size() - 8);
-  ByteCursor tail(bytes.substr(bytes.size() - 8));
-  const std::uint64_t want = tail.u64();
-  BNCG_REQUIRE(fnv1a64(body.data(), body.size()) == want, "shard wire: checksum mismatch");
-  return decode_body(body);
+  return decode_body(unseal(kShardWireMagic, bytes));
 }
 
-std::string shard_to_json(const ShardResult& shard) {
-  const std::string body = encode_body(shard);
-  std::string out = "{\n";
-  append_json_str(out, "format", "bncg-shard");
-  append_json_u64(out, "version", kShardWireVersion);
-  append_json_str(out, "fingerprint", hex_string(shard.fingerprint));
-  append_json_u64(out, "n", shard.n);
-  append_json_str(out, "m", std::to_string(shard.m));
-  append_json_str(out, "model", shard.model == UsageCost::Sum ? "sum" : "max");
-  append_json_bool(out, "include_deletions", shard.include_deletions);
-  append_json_bool(out, "stop_on_violation", shard.stop_on_violation);
-  append_json_str(out, "width", dist_width_name(shard.width));
-  append_json_u64(out, "shard_index", shard.shard_index);
-  append_json_u64(out, "shard_count", shard.shard_count);
-  append_json_u64(out, "agent_lo", shard.agent_lo);
-  append_json_u64(out, "agent_hi", shard.agent_hi);
-  append_json_u64(out, "scanned", shard.scanned);
-  // moves and witness costs are full-range u64 (costs can carry the
-  // kInfCost sentinel), so they travel as decimal strings — see u64_string.
-  append_json_str(out, "moves", std::to_string(shard.moves));
-  append_json_str(out, "width_fallbacks", std::to_string(shard.width_fallbacks));
-  if (shard.best) {
-    out += "  \"witness\": {\"v\": " + std::to_string(shard.best->swap.v) +
-           ", \"remove_w\": " + std::to_string(shard.best->swap.remove_w) +
-           ", \"add_w\": " + std::to_string(shard.best->swap.add_w) +
-           ", \"cost_before\": \"" + std::to_string(shard.best->cost_before) +
-           "\", \"cost_after\": \"" + std::to_string(shard.best->cost_after) +
-           "\", \"kind\": \"" +
-           (shard.best->kind == Deviation::Kind::ImprovingSwap ? "improving-swap"
-                                                               : "non-critical-delete") +
-           "\"},\n";
-  } else {
-    out += "  \"witness\": null,\n";
-  }
-  append_json_str(out, "checksum", hex_string(fnv1a64(body.data(), body.size())),
-                  /*comma=*/false);
-  out += "}\n";
-  return out;
+void put_model(std::string& out, UsageCost model) {
+  put_u8(out, model == UsageCost::Sum ? 0 : 1);
 }
 
-ShardResult shard_from_json(std::string_view text) {
-  JsonCursor in(text);
-  ShardResult r;
-  std::uint64_t version = 0, checksum = 0;
-  std::string format;
-  enum Key {
-    kFormat, kVersion, kFingerprint, kN, kM, kModel, kIncludeDeletions, kStopOnViolation,
-    kWidth, kShardIndex, kShardCount, kAgentLo, kAgentHi, kScanned, kMoves, kWidthFallbacks,
-    kWitness, kChecksum, kKeyCount
-  };
-  bool seen[kKeyCount] = {};
-  const auto once = [&](Key k) {
-    BNCG_REQUIRE(!seen[k], "shard json: duplicate key");
-    seen[k] = true;
-  };
-
-  in.expect('{');
-  do {
-    const std::string key = in.string();
-    in.expect(':');
-    if (key == "format") {
-      once(kFormat);
-      format = in.string();
-    } else if (key == "version") {
-      once(kVersion);
-      version = in.u64();
-    } else if (key == "fingerprint") {
-      once(kFingerprint);
-      r.fingerprint = in.u64_string();
-    } else if (key == "n") {
-      once(kN);
-      r.n = json_vertex(in.u64(), "shard json: n out of range");
-    } else if (key == "m") {
-      once(kM);
-      r.m = in.u64_string();
-    } else if (key == "model") {
-      once(kModel);
-      const std::string model = in.string();
-      if (model == "sum") {
-        r.model = UsageCost::Sum;
-      } else if (model == "max") {
-        r.model = UsageCost::Max;
-      } else {
-        BNCG_REQUIRE(false, "shard json: unknown model");
-      }
-    } else if (key == "include_deletions") {
-      once(kIncludeDeletions);
-      r.include_deletions = in.boolean();
-    } else if (key == "stop_on_violation") {
-      once(kStopOnViolation);
-      r.stop_on_violation = in.boolean();
-    } else if (key == "width") {
-      once(kWidth);
-      const std::string width = in.string();
-      if (width == "u8") {
-        r.width = DistWidth::U8;
-      } else if (width == "u16") {
-        r.width = DistWidth::U16;
-      } else {
-        BNCG_REQUIRE(false, "shard json: unknown width");
-      }
-    } else if (key == "shard_index") {
-      once(kShardIndex);
-      r.shard_index = json_u32(in.u64(), "shard json: shard_index out of range");
-    } else if (key == "shard_count") {
-      once(kShardCount);
-      r.shard_count = json_u32(in.u64(), "shard json: shard_count out of range");
-    } else if (key == "agent_lo") {
-      once(kAgentLo);
-      r.agent_lo = json_vertex(in.u64(), "shard json: agent_lo out of range");
-    } else if (key == "agent_hi") {
-      once(kAgentHi);
-      r.agent_hi = json_vertex(in.u64(), "shard json: agent_hi out of range");
-    } else if (key == "scanned") {
-      once(kScanned);
-      r.scanned = json_vertex(in.u64(), "shard json: scanned out of range");
-    } else if (key == "moves") {
-      once(kMoves);
-      r.moves = in.u64_string();
-    } else if (key == "width_fallbacks") {
-      once(kWidthFallbacks);
-      r.width_fallbacks = in.u64_string();
-    } else if (key == "witness") {
-      once(kWitness);
-      if (!in.consume_null()) r.best = parse_json_witness(in);
-    } else if (key == "checksum") {
-      once(kChecksum);
-      checksum = in.u64_string();
-    } else {
-      BNCG_REQUIRE(false, "shard json: unknown key");
-    }
-  } while (in.consume(','));
-  in.expect('}');
-  in.expect_end();
-
-  for (int k = 0; k < kKeyCount; ++k) BNCG_REQUIRE(seen[k], "shard json: missing key");
-  BNCG_REQUIRE(format == "bncg-shard", "shard json: not a shard document");
-  BNCG_REQUIRE(version == kShardWireVersion, "shard json: unsupported version");
-  validate_shard(r);
-  // Same integrity bar as the binary format: the checksum must match the
-  // canonical body re-encoded from what was just parsed, so value-level
-  // tampering is caught, not only structural damage.
-  const std::string body = encode_body(r);
-  BNCG_REQUIRE(fnv1a64(body.data(), body.size()) == checksum, "shard json: checksum mismatch");
-  return r;
-}
-
-ShardResult shard_from_bytes(std::string_view bytes) {
-  if (bytes.substr(0, kShardWireMagic.size()) == kShardWireMagic) {
-    return shard_from_binary(bytes);
-  }
-  return shard_from_json(bytes);
+UsageCost read_model(PayloadReader& in) {
+  const std::uint8_t model = in.u8();
+  BNCG_REQUIRE(model <= 1, "bad model byte");
+  return model == 0 ? UsageCost::Sum : UsageCost::Max;
 }
 
 void write_file_atomic(const std::string& path, std::string_view bytes) {
@@ -574,19 +152,21 @@ void write_file_atomic(const std::string& path, std::string_view bytes) {
   }
 }
 
-void write_shard_file(const std::string& path, const ShardResult& shard,
-                      ShardWireFormat format) {
-  write_file_atomic(path, format == ShardWireFormat::Binary ? shard_to_binary(shard)
-                                                            : shard_to_json(shard));
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open for reading: " + path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (!in && !in.eof()) throw std::runtime_error("read failed: " + path);
+  return buffer.str();
+}
+
+void write_shard_file(const std::string& path, const ShardResult& shard) {
+  write_file_atomic(path, shard_to_binary(shard));
 }
 
 ShardResult read_shard_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("shard wire: cannot open for reading: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in && !in.eof()) throw std::runtime_error("shard wire: read failed: " + path);
-  return shard_from_bytes(buffer.str());
+  return shard_from_binary(read_file(path));
 }
 
 }  // namespace bncg

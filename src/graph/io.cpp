@@ -5,6 +5,8 @@
 #include <sstream>
 #include <string>
 
+#include "util/bytes.hpp"
+
 namespace bncg {
 
 void write_edge_list(std::ostream& os, const Graph& g) {
@@ -99,16 +101,6 @@ std::string to_graph6(const Graph& g) {
   }
   if (bit_pos != 5) out.push_back(static_cast<char>(current + 63));
   return out;
-}
-
-std::uint64_t fnv1a64(const void* data, std::size_t size) noexcept {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 
 namespace {

@@ -38,10 +38,6 @@ void write_dot(std::ostream& os, const Graph& g, const std::string& name = "G");
 /// graph6 decoding; throws std::invalid_argument on malformed input.
 [[nodiscard]] Graph from_graph6(const std::string& g6);
 
-/// FNV-1a hash of a byte sequence — the checksum primitive of the shard
-/// wire format and of graph_fingerprint below.
-[[nodiscard]] std::uint64_t fnv1a64(const void* data, std::size_t size) noexcept;
-
 /// Structural fingerprint of a graph: 64-bit FNV-1a over n, m, and the
 /// canonical sorted edge list. Equal graphs (same vertex ids, same edge
 /// set) hash equal regardless of edge insertion order; used by the

@@ -161,12 +161,7 @@ class Dispatcher {
   /// Session whose header equals `h` field for field, or kNoSession.
   [[nodiscard]] std::size_t find_session(const JournalHeader& h) const {
     for (std::size_t i = 0; i < sessions_.size(); ++i) {
-      const JournalHeader& o = sessions_[i].header;
-      if (o.fingerprint == h.fingerprint && o.n == h.n && o.m == h.m && o.model == h.model &&
-          o.include_deletions == h.include_deletions &&
-          o.stop_on_violation == h.stop_on_violation && o.shard_count == h.shard_count) {
-        return i;
-      }
+      if (sessions_[i].header == h) return i;
     }
     return kNoSession;
   }
@@ -629,12 +624,7 @@ class Dispatcher {
   /// re-handshaken workers still land in the right fold.
   [[nodiscard]] std::size_t find_session_for_result(const ShardResult& r) const {
     for (std::size_t i = 0; i < sessions_.size(); ++i) {
-      const JournalHeader& h = sessions_[i].header;
-      if (h.fingerprint == r.fingerprint && h.n == r.n && h.m == r.m && h.model == r.model &&
-          h.include_deletions == r.include_deletions &&
-          h.stop_on_violation == r.stop_on_violation && h.shard_count == r.shard_count) {
-        return i;
-      }
+      if (same_run(sessions_[i].header, r)) return i;
     }
     return kNoSession;
   }
@@ -643,7 +633,7 @@ class Dispatcher {
   /// split; any disagreement is indistinguishable from corruption and
   /// strikes.
   void accept_result(std::size_t conn_id, std::string_view payload) {
-    const ShardResult r = shard_from_bytes(payload);  // throws on corruption
+    const ShardResult r = shard_from_binary(payload);  // throws on corruption
     const std::size_t s_idx = find_session_for_result(r);
     BNCG_REQUIRE(s_idx != kNoSession, "serve: result matches no queued session");
     Session& s = sessions_[s_idx];

@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/certify_wire.hpp"
-#include "graph/io.hpp"
-#include "svc/net.hpp"
 #include "util/error.hpp"
 
 namespace bncg::svc {
@@ -18,51 +14,37 @@ namespace {
 
 constexpr const char* kSessionFile = "session.bin";
 
-[[nodiscard]] std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("journal: cannot read " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in && !in.eof()) throw std::runtime_error("journal: read failed: " + path);
-  return buffer.str();
+/// The run identity of a session: the bytes session.bin carries after its
+/// version word, and the key session_dir_name hashes.
+[[nodiscard]] std::string identity_bytes(const JournalHeader& h) {
+  std::string body;
+  put_u64(body, h.fingerprint);
+  put_u32(body, h.n);
+  put_u64(body, h.m);
+  put_model(body, h.model);
+  put_bool(body, h.include_deletions);
+  put_bool(body, h.stop_on_violation);
+  put_u32(body, h.shard_count);
+  return body;
 }
 
 [[nodiscard]] std::string encode_header(const JournalHeader& h) {
   std::string body;
   put_u32(body, kJournalVersion);
-  put_u64(body, h.fingerprint);
-  put_u32(body, h.n);
-  put_u64(body, h.m);
-  put_u8(body, h.model == UsageCost::Sum ? 0 : 1);
-  put_u8(body, h.include_deletions ? 1 : 0);
-  put_u8(body, h.stop_on_violation ? 1 : 0);
-  put_u32(body, h.shard_count);
-  std::string out(kJournalMagic);
-  out += body;
-  put_u64(out, fnv1a64(body.data(), body.size()));
-  return out;
+  body += identity_bytes(h);
+  return seal(kJournalMagic, body);
 }
 
 [[nodiscard]] JournalHeader decode_header(std::string_view bytes) {
-  BNCG_REQUIRE(bytes.size() >= kJournalMagic.size() + 8, "journal session: truncated");
-  BNCG_REQUIRE(bytes.substr(0, kJournalMagic.size()) == kJournalMagic,
-               "journal session: bad magic");
-  const std::string_view body =
-      bytes.substr(kJournalMagic.size(), bytes.size() - kJournalMagic.size() - 8);
-  PayloadReader tail(bytes.substr(bytes.size() - 8));
-  BNCG_REQUIRE(fnv1a64(body.data(), body.size()) == tail.u64(),
-               "journal session: checksum mismatch");
-  PayloadReader in(body);
+  PayloadReader in(unseal(kJournalMagic, bytes));
   BNCG_REQUIRE(in.u32() == kJournalVersion, "journal session: unsupported version");
   JournalHeader h;
   h.fingerprint = in.u64();
   h.n = in.u32();
   h.m = in.u64();
-  const std::uint8_t model = in.u8();
-  BNCG_REQUIRE(model <= 1, "journal session: bad model byte");
-  h.model = model == 0 ? UsageCost::Sum : UsageCost::Max;
-  h.include_deletions = in.u8() != 0;
-  h.stop_on_violation = in.u8() != 0;
+  h.model = read_model(in);
+  h.include_deletions = in.boolean();
+  h.stop_on_violation = in.boolean();
   h.shard_count = in.u32();
   BNCG_REQUIRE(h.shard_count >= 1, "journal session: zero shard count");
   in.expect_end();
@@ -75,16 +57,19 @@ constexpr const char* kSessionFile = "session.bin";
 /// clause is what lets the streaming sink fold records straight from disk:
 /// every file the journal admits is, by construction, mergeable.
 [[nodiscard]] bool record_matches(const JournalHeader& h, const ShardResult& r) {
-  return r.fingerprint == h.fingerprint && r.n == h.n && r.m == h.m && r.model == h.model &&
-         r.include_deletions == h.include_deletions &&
-         r.stop_on_violation == h.stop_on_violation && r.shard_count == h.shard_count &&
-         r.shard_index < h.shard_count &&
+  return same_run(h, r) && r.shard_index < h.shard_count &&
          r.agent_lo == static_cast<Vertex>(std::uint64_t{r.shard_index} * h.n / h.shard_count) &&
          r.agent_hi ==
              static_cast<Vertex>((std::uint64_t{r.shard_index} + 1) * h.n / h.shard_count);
 }
 
 }  // namespace
+
+bool same_run(const JournalHeader& h, const ShardResult& r) {
+  return r.fingerprint == h.fingerprint && r.n == h.n && r.m == h.m && r.model == h.model &&
+         r.include_deletions == h.include_deletions &&
+         r.stop_on_violation == h.stop_on_violation && r.shard_count == h.shard_count;
+}
 
 std::string ShardJournal::record_name(std::uint32_t index) {
   char buf[32];
@@ -138,16 +123,9 @@ void ShardJournal::record(const ShardResult& shard) {
 }
 
 std::string ShardJournal::session_dir_name(const JournalHeader& h) {
-  // The key hashes exactly the fields record_matches compares, so "same
+  // The key hashes exactly the fields same_run compares, so "same
   // directory" and "mergeable records" coincide by construction.
-  std::string body;
-  put_u64(body, h.fingerprint);
-  put_u32(body, h.n);
-  put_u64(body, h.m);
-  put_u8(body, h.model == UsageCost::Sum ? 0 : 1);
-  put_u8(body, h.include_deletions ? 1 : 0);
-  put_u8(body, h.stop_on_violation ? 1 : 0);
-  put_u32(body, h.shard_count);
+  const std::string body = identity_bytes(h);
   char buf[32];
   std::snprintf(buf, sizeof buf, "session_%016llx",
                 static_cast<unsigned long long>(fnv1a64(body.data(), body.size())));

@@ -43,7 +43,14 @@ struct JournalHeader {
   bool include_deletions = false;
   bool stop_on_violation = false;
   std::uint32_t shard_count = 1;
+
+  bool operator==(const JournalHeader&) const = default;
 };
+
+/// Whether shard `r` was computed for the run `h` names: the same
+/// instance (fingerprint, n, m), model, flags, and shard count. Journal
+/// records and served results are both admitted by this one predicate.
+[[nodiscard]] bool same_run(const JournalHeader& h, const ShardResult& r);
 
 class ShardJournal {
  public:

@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "graph/io.hpp"
 #include "util/error.hpp"
 
 namespace bncg::svc {
@@ -86,59 +85,6 @@ void fill_unix(const ParsedAddress& addr, sockaddr_un& sun) {
 }
 
 }  // namespace
-
-void put_u8(std::string& out, std::uint8_t v) { out.push_back(static_cast<char>(v)); }
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void put_bytes(std::string& out, std::string_view bytes) {
-  BNCG_REQUIRE(bytes.size() <= 0xFFFFFFFFull, "svc: byte string too long");
-  put_u32(out, static_cast<std::uint32_t>(bytes.size()));
-  out.append(bytes);
-}
-
-std::uint8_t PayloadReader::u8() {
-  BNCG_REQUIRE(pos_ + 1 <= bytes_.size(), "svc payload: truncated");
-  return static_cast<std::uint8_t>(bytes_[pos_++]);
-}
-
-std::uint32_t PayloadReader::u32() {
-  BNCG_REQUIRE(pos_ + 4 <= bytes_.size(), "svc payload: truncated");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes_[pos_ + i])) << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t PayloadReader::u64() {
-  BNCG_REQUIRE(pos_ + 8 <= bytes_.size(), "svc payload: truncated");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes_[pos_ + i])) << (8 * i);
-  }
-  pos_ += 8;
-  return v;
-}
-
-std::string PayloadReader::bytes() {
-  const std::uint32_t len = u32();
-  BNCG_REQUIRE(pos_ + len <= bytes_.size(), "svc payload: truncated");
-  std::string out(bytes_.substr(pos_, len));
-  pos_ += len;
-  return out;
-}
-
-void PayloadReader::expect_end() const {
-  BNCG_REQUIRE(pos_ == bytes_.size(), "svc payload: trailing bytes");
-}
 
 std::string encode_frame(const Frame& frame) {
   BNCG_REQUIRE(frame.payload.size() <= kMaxFramePayload, "svc frame: payload too large");

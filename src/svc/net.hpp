@@ -24,6 +24,8 @@
 #include <string>
 #include <string_view>
 
+#include "util/bytes.hpp"
+
 namespace bncg::svc {
 
 /// Version of the dispatcher/worker frame protocol. Hellos (and Submit /
@@ -74,29 +76,9 @@ struct Frame {
   std::string payload;
 };
 
-// Little-endian payload builders/readers shared by the protocol layer and
-// the shard journal's session record.
-void put_u8(std::string& out, std::uint8_t v);
-void put_u32(std::string& out, std::uint32_t v);
-void put_u64(std::string& out, std::uint64_t v);
-/// u32 length prefix + raw bytes.
-void put_bytes(std::string& out, std::string_view bytes);
-
-/// Bounds-checked little-endian reader; throws std::invalid_argument on
-/// truncation or trailing content, mirroring certify_wire's decoders.
-class PayloadReader {
- public:
-  explicit PayloadReader(std::string_view bytes) : bytes_(bytes) {}
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] std::string bytes();
-  void expect_end() const;
-
- private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
+// Frames and payloads are built with put_* and read with PayloadReader —
+// the one little-endian codec of util/bytes.hpp, shared with the shard
+// wire and the journal's session record.
 
 /// Encodes magic + type + length + payload + FNV-1a checksum over
 /// (type, payload).

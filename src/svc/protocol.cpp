@@ -1,5 +1,6 @@
 #include "svc/protocol.hpp"
 
+#include "core/certify_wire.hpp"
 #include "util/error.hpp"
 
 namespace bncg::svc {
@@ -10,24 +11,14 @@ void require_type(const Frame& frame, FrameType want, const char* what) {
   BNCG_REQUIRE(frame.type == want, what);
 }
 
-void put_model(std::string& out, UsageCost model) {
-  put_u8(out, model == UsageCost::Sum ? 0 : 1);
-}
-
-[[nodiscard]] UsageCost read_model(PayloadReader& in) {
-  const std::uint8_t model = in.u8();
-  BNCG_REQUIRE(model <= 1, "svc protocol: bad model byte");
-  return model == 0 ? UsageCost::Sum : UsageCost::Max;
-}
-
 void put_summary(std::string& out, const JobSummary& job) {
   put_u64(out, job.session_id);
   put_u64(out, job.fingerprint);
   put_u32(out, job.n);
   put_u64(out, job.m);
   put_model(out, job.model);
-  put_u8(out, job.include_deletions ? 1 : 0);
-  put_u8(out, job.stop_on_violation ? 1 : 0);
+  put_bool(out, job.include_deletions);
+  put_bool(out, job.stop_on_violation);
   put_u32(out, job.shard_count);
   put_u32(out, job.completed_ranges);
   put_u32(out, job.quarantined_ranges);
@@ -41,8 +32,8 @@ void put_summary(std::string& out, const JobSummary& job) {
   job.n = in.u32();
   job.m = in.u64();
   job.model = read_model(in);
-  job.include_deletions = in.u8() != 0;
-  job.stop_on_violation = in.u8() != 0;
+  job.include_deletions = in.boolean();
+  job.stop_on_violation = in.boolean();
   job.shard_count = in.u32();
   job.completed_ranges = in.u32();
   job.quarantined_ranges = in.u32();
@@ -74,8 +65,8 @@ Frame make_welcome(const WelcomeBody& body) {
   Frame f;
   f.type = FrameType::Welcome;
   put_model(f.payload, body.model);
-  put_u8(f.payload, body.include_deletions ? 1 : 0);
-  put_u8(f.payload, body.stop_on_violation ? 1 : 0);
+  put_bool(f.payload, body.include_deletions);
+  put_bool(f.payload, body.stop_on_violation);
   put_u32(f.payload, body.shard_count);
   put_u64(f.payload, body.session_id);
   return f;
@@ -98,8 +89,8 @@ Frame make_lease(const LeaseBody& body) {
   put_u64(f.payload, body.lease_ms);
   put_u64(f.payload, body.session_id);
   put_model(f.payload, body.model);
-  put_u8(f.payload, body.include_deletions ? 1 : 0);
-  put_u8(f.payload, body.stop_on_violation ? 1 : 0);
+  put_bool(f.payload, body.include_deletions);
+  put_bool(f.payload, body.stop_on_violation);
   return f;
 }
 
@@ -124,8 +115,8 @@ Frame make_submit(const SubmitBody& body) {
   put_u32(f.payload, body.n);
   put_u64(f.payload, body.m);
   put_model(f.payload, body.model);
-  put_u8(f.payload, body.include_deletions ? 1 : 0);
-  put_u8(f.payload, body.stop_on_violation ? 1 : 0);
+  put_bool(f.payload, body.include_deletions);
+  put_bool(f.payload, body.stop_on_violation);
   put_u32(f.payload, body.shard_count);
   return f;
 }
@@ -134,7 +125,7 @@ Frame make_accepted(const AcceptedBody& body) {
   Frame f;
   f.type = FrameType::Accepted;
   put_u64(f.payload, body.session_id);
-  put_u8(f.payload, body.already_queued ? 1 : 0);
+  put_bool(f.payload, body.already_queued);
   return f;
 }
 
@@ -142,7 +133,7 @@ Frame make_job_query() {
   Frame f;
   f.type = FrameType::JobStatus;
   put_u32(f.payload, kSvcProtocolVersion);
-  put_u8(f.payload, 0);
+  put_bool(f.payload, false);
   return f;
 }
 
@@ -150,7 +141,7 @@ Frame make_job_status(const std::vector<JobSummary>& jobs) {
   Frame f;
   f.type = FrameType::JobStatus;
   put_u32(f.payload, kSvcProtocolVersion);
-  put_u8(f.payload, 1);
+  put_bool(f.payload, true);
   put_u32(f.payload, static_cast<std::uint32_t>(jobs.size()));
   for (const JobSummary& job : jobs) put_summary(f.payload, job);
   return f;
@@ -174,8 +165,8 @@ WelcomeBody parse_welcome(const Frame& frame) {
   PayloadReader in(frame.payload);
   WelcomeBody body;
   body.model = read_model(in);
-  body.include_deletions = in.u8() != 0;
-  body.stop_on_violation = in.u8() != 0;
+  body.include_deletions = in.boolean();
+  body.stop_on_violation = in.boolean();
   body.shard_count = in.u32();
   body.session_id = in.u64();
   BNCG_REQUIRE(body.shard_count >= 1, "svc protocol: zero shard count");
@@ -202,8 +193,8 @@ LeaseBody parse_lease(const Frame& frame) {
   body.lease_ms = in.u64();
   body.session_id = in.u64();
   body.model = read_model(in);
-  body.include_deletions = in.u8() != 0;
-  body.stop_on_violation = in.u8() != 0;
+  body.include_deletions = in.boolean();
+  body.stop_on_violation = in.boolean();
   in.expect_end();
   BNCG_REQUIRE(body.range.lo <= body.range.hi, "svc protocol: bad lease range");
   BNCG_REQUIRE(body.range.shard_index < body.range.shard_count,
@@ -220,8 +211,8 @@ SubmitBody parse_submit(const Frame& frame) {
   body.n = in.u32();
   body.m = in.u64();
   body.model = read_model(in);
-  body.include_deletions = in.u8() != 0;
-  body.stop_on_violation = in.u8() != 0;
+  body.include_deletions = in.boolean();
+  body.stop_on_violation = in.boolean();
   body.shard_count = in.u32();
   in.expect_end();
   BNCG_REQUIRE(body.n >= 1, "svc protocol: submit of an empty instance");
@@ -233,7 +224,7 @@ AcceptedBody parse_accepted(const Frame& frame) {
   PayloadReader in(frame.payload);
   AcceptedBody body;
   body.session_id = in.u64();
-  body.already_queued = in.u8() != 0;
+  body.already_queued = in.boolean();
   in.expect_end();
   return body;
 }
@@ -243,9 +234,7 @@ JobStatusBody parse_job_status(const Frame& frame) {
   PayloadReader in(frame.payload);
   JobStatusBody body;
   body.protocol_version = in.u32();
-  const std::uint8_t kind = in.u8();
-  BNCG_REQUIRE(kind <= 1, "svc protocol: bad job status kind");
-  body.report = kind == 1;
+  body.report = in.boolean();
   if (body.report) {
     const std::uint32_t count = in.u32();
     // A corrupted count must not make the receiver try to materialize

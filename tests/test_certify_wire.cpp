@@ -59,28 +59,16 @@ TEST(CertifyWire, BinaryRoundTrip) {
     const std::string bytes = shard_to_binary(original);
     EXPECT_EQ(bytes.substr(0, 8), kShardWireMagic);
     expect_same_shard(shard_from_binary(bytes), original);
-    expect_same_shard(shard_from_bytes(bytes), original);
-  }
-}
-
-TEST(CertifyWire, JsonRoundTrip) {
-  for (const bool witness : {false, true}) {
-    const ShardResult original = sample_shard(witness);
-    const std::string text = shard_to_json(original);
-    expect_same_shard(shard_from_json(text), original);
-    expect_same_shard(shard_from_bytes(text), original);
   }
 }
 
 TEST(CertifyWire, ExtremeCostsSurviveBothEncodings) {
-  // kInfCost-level u64s must round-trip exactly (JSON numbers are parsed
-  // with full 64-bit precision by our own reader).
+  // kInfCost-level u64s must round-trip exactly.
   ShardResult r = sample_shard(true);
   r.best->cost_before = kInfCost;
   r.best->cost_after = kInfCost - 1;
   r.moves = 0xFFFFFFFFFFFFFFFFull;
   expect_same_shard(shard_from_binary(shard_to_binary(r)), r);
-  expect_same_shard(shard_from_json(shard_to_json(r)), r);
 }
 
 TEST(CertifyWire, EveryBinaryTruncationThrows) {
@@ -96,44 +84,56 @@ TEST(CertifyWire, EveryBinaryBitFlipThrows) {
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     std::string corrupt = bytes;
     corrupt[i] = static_cast<char>(corrupt[i] ^ 0x40);
-    EXPECT_THROW((void)shard_from_bytes(corrupt), std::invalid_argument) << "byte " << i;
+    EXPECT_THROW((void)shard_from_binary(corrupt), std::invalid_argument) << "byte " << i;
   }
 }
 
-TEST(CertifyWire, JsonValueTamperingIsCaughtByChecksum) {
-  const std::string text = shard_to_json(sample_shard(true));
-  // Flip one digit of the moves field: still perfectly valid JSON, but the
-  // re-encoded body no longer matches the embedded checksum.
-  const std::string needle = "\"moves\": \"123456789";
-  const std::size_t pos = text.find(needle);
-  ASSERT_NE(pos, std::string::npos);
-  std::string tampered = text;
-  tampered[pos + needle.size() - 1] = '0';
-  EXPECT_THROW((void)shard_from_json(tampered), std::invalid_argument);
-}
-
-TEST(CertifyWire, JsonRejectsUnsupportedVersionAndForeignDocuments) {
-  std::string text = shard_to_json(sample_shard(false));
-  const std::size_t pos = text.find("\"version\": 1");
-  ASSERT_NE(pos, std::string::npos);
-  std::string wrong_version = text;
-  wrong_version[pos + 11] = '2';
-  EXPECT_THROW((void)shard_from_json(wrong_version), std::invalid_argument);
-  EXPECT_THROW((void)shard_from_bytes("{\"format\": \"something-else\"}"),
+TEST(CertifyWire, RejectsUnsupportedVersionAndForeignDocuments) {
+  // A checksum-valid record whose version word is 2.
+  const std::string bytes = shard_to_binary(sample_shard(false));
+  std::string body(unseal(kShardWireMagic, bytes));
+  body[0] = 2;
+  EXPECT_THROW((void)shard_from_binary(seal(kShardWireMagic, body)), std::invalid_argument);
+  EXPECT_THROW((void)shard_from_binary("{\"format\": \"something-else\"}"),
                std::invalid_argument);
-  EXPECT_THROW((void)shard_from_bytes(""), std::invalid_argument);
-  EXPECT_THROW((void)shard_from_bytes("not a shard at all"), std::invalid_argument);
+  EXPECT_THROW((void)shard_from_binary(""), std::invalid_argument);
+  EXPECT_THROW((void)shard_from_binary("not a shard at all"), std::invalid_argument);
 }
 
 TEST(CertifyWire, ShardFileRoundTripBothFormats) {
   const ShardResult original = sample_shard(true);
-  for (const ShardWireFormat format : {ShardWireFormat::Binary, ShardWireFormat::Json}) {
-    const std::string path = testing::TempDir() + "/bncg_wire_test.shard";
-    write_shard_file(path, original, format);
-    expect_same_shard(read_shard_file(path), original);
-  }
+  const std::string path = testing::TempDir() + "/bncg_wire_test.shard";
+  write_shard_file(path, original);
+  expect_same_shard(read_shard_file(path), original);
   EXPECT_THROW((void)read_shard_file(testing::TempDir() + "/bncg_wire_missing.shard"),
                std::runtime_error);
+
+  // sample_shard(true) in the retired JSON shard form, checksum included:
+  // shard files are binary-only, so this is an ordinary corrupt input.
+  const std::string json =
+      "{\n"
+      "  \"format\": \"bncg-shard\",\n"
+      "  \"version\": 1,\n"
+      "  \"fingerprint\": \"0x0123456789abcdef\",\n"
+      "  \"n\": 512,\n"
+      "  \"m\": \"1024\",\n"
+      "  \"model\": \"max\",\n"
+      "  \"include_deletions\": true,\n"
+      "  \"stop_on_violation\": false,\n"
+      "  \"width\": \"u8\",\n"
+      "  \"shard_index\": 2,\n"
+      "  \"shard_count\": 7,\n"
+      "  \"agent_lo\": 146,\n"
+      "  \"agent_hi\": 219,\n"
+      "  \"scanned\": 73,\n"
+      "  \"moves\": \"123456789\",\n"
+      "  \"width_fallbacks\": \"3\",\n"
+      "  \"witness\": {\"v\": 150, \"remove_w\": 7, \"add_w\": 300, \"cost_before\": \"9\", "
+      "\"cost_after\": \"8\", \"kind\": \"improving-swap\"},\n"
+      "  \"checksum\": \"0xefe959ed2353f14e\"\n"
+      "}\n";
+  write_file_atomic(path, json);
+  EXPECT_THROW((void)read_shard_file(path), std::invalid_argument);
 }
 
 TEST(GraphFingerprint, InsertionOrderIndependentAndStructureSensitive) {

@@ -115,11 +115,18 @@ TEST_F(SvcJournalTest, CorruptSessionRecordRefusedOnOpen) {
     std::ifstream in(session, std::ios::binary);
     bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
   }
-  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
-  {
-    std::ofstream out(session, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+  std::string flipped = bytes;
+  flipped[flipped.size() / 2] = static_cast<char>(flipped[flipped.size() / 2] ^ 0x10);
+  write_file_atomic(session.string(), flipped);
+  EXPECT_THROW((void)ShardJournal::open(dir_), std::invalid_argument);
+
+  // A non-canonical include_deletions byte (0x02) under a recomputed
+  // checksum: only the strict boolean read can refuse it.
+  std::string body(unseal(kJournalMagic, bytes));
+  constexpr std::size_t kIncludeDeletions = 4 + 8 + 4 + 8 + 1;  // version fp n m model
+  ASSERT_EQ(body.at(kIncludeDeletions), 0);
+  body[kIncludeDeletions] = 2;
+  write_file_atomic(session.string(), seal(kJournalMagic, body));
   EXPECT_THROW((void)ShardJournal::open(dir_), std::invalid_argument);
 }
 

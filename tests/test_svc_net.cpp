@@ -12,7 +12,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <string>
+
+#include "svc/protocol.hpp"
 
 namespace bncg::svc {
 namespace {
@@ -146,6 +149,54 @@ TEST(SvcNet, PayloadReaderRejectsTruncationAndTrailingBytes) {
     PayloadReader trailing(body);
     (void)trailing.u8();
     EXPECT_THROW(trailing.expect_end(), std::invalid_argument);
+  }
+  {
+    // Booleans are exactly 0 or 1; any other byte is corruption, not true.
+    std::string flags;
+    put_bool(flags, false);
+    put_bool(flags, true);
+    put_u8(flags, 2);
+    PayloadReader reader(flags);
+    EXPECT_FALSE(reader.boolean());
+    EXPECT_TRUE(reader.boolean());
+    EXPECT_THROW((void)reader.boolean(), std::invalid_argument);
+  }
+  // Every protocol payload routes its booleans through boolean(): setting
+  // one bool byte to 0x02 refuses the payload.
+  WelcomeBody welcome;
+  welcome.include_deletions = true;
+  LeaseBody lease;
+  lease.range = {0, 4, 0, 1};
+  lease.include_deletions = true;
+  SubmitBody submit;
+  submit.n = 4;
+  submit.include_deletions = true;
+  AcceptedBody accepted;
+  accepted.already_queued = true;
+  JobSummary job;
+  job.include_deletions = true;
+  struct BoolByteCase {
+    const char* name;
+    Frame frame;
+    std::size_t offset;
+    std::function<void(const Frame&)> parse;
+  };
+  const BoolByteCase cases[] = {
+      {"welcome", make_welcome(welcome), 1, [](const Frame& f) { (void)parse_welcome(f); }},
+      {"lease", make_lease(lease), 33, [](const Frame& f) { (void)parse_lease(f); }},
+      {"submit", make_submit(submit), 25, [](const Frame& f) { (void)parse_submit(f); }},
+      {"accepted", make_accepted(accepted), 8, [](const Frame& f) { (void)parse_accepted(f); }},
+      {"job status flag", make_job_status({job}), 4,
+       [](const Frame& f) { (void)parse_job_status(f); }},
+      {"job summary", make_job_status({job}), 38,
+       [](const Frame& f) { (void)parse_job_status(f); }},
+  };
+  for (const BoolByteCase& c : cases) {
+    EXPECT_NO_THROW(c.parse(c.frame)) << c.name;
+    ASSERT_EQ(c.frame.payload.at(c.offset), 1) << c.name;
+    Frame bad = c.frame;
+    bad.payload[c.offset] = 2;
+    EXPECT_THROW(c.parse(bad), std::invalid_argument) << c.name;
   }
 }
 

@@ -7,8 +7,8 @@
 //                  edge list, so fan-out runs are reproducible from a seed
 //                  alone.
 //   worker       — file mode: certify agents [lo, hi) of a graph file and
-//                  write one serialized ShardResult (binary or JSON wire
-//                  format, crash-safe tmp+rename). With --connect, dial a
+//                  write one binary-encoded ShardResult (crash-safe
+//                  tmp+rename). With --connect, dial a
 //                  dispatcher instead: handshake with the instance
 //                  fingerprint, receive leases, stream results back.
 //   chaos-worker — a connected worker with seeded fault injection (crash
@@ -93,7 +93,6 @@ using namespace bncg;
          "  bncg_certify worker --graph FILE --range LO:HI --shard-index I --shard-count K\n"
          "               --out FILE [--model sum|max] [--include-deletions]\n"
          "               [--stop-on-violation] [--width auto|u8|u16] [--mem-budget B]\n"
-         "               [--format binary|json]\n"
          "  bncg_certify worker --graph FILE --connect ADDR [--width auto|u8|u16]\n"
          "               [--mem-budget B] [--connect-retries N] [--connect-backoff-ms N]\n"
          "  bncg_certify chaos-worker --graph FILE --connect ADDR\n"
@@ -396,15 +395,6 @@ int run_worker(Args& args) {
   ResourceConfig resources;
   resources.width = parse_width(args.value("--width").value_or("auto"));
   resources.mem_budget = parse_mem_budget(args);
-  const std::string format_text = args.value("--format").value_or("binary");
-  ShardWireFormat format;
-  if (format_text == "binary") {
-    format = ShardWireFormat::Binary;
-  } else if (format_text == "json") {
-    format = ShardWireFormat::Json;
-  } else {
-    usage("bad --format: " + format_text);
-  }
   reject_unknown(args);
 
   const Graph g = load_graph(graph_path);
@@ -419,7 +409,7 @@ int run_worker(Args& args) {
   const SwapEngine engine(g, resources);
   const ShardResult shard =
       certify_agent_range(engine, range, model, include_deletions, stop_on_violation);
-  write_shard_file(out_path, shard, format);
+  write_shard_file(out_path, shard);
   std::cerr << "worker: shard " << shard.shard_index << "/" << shard.shard_count << " agents ["
             << shard.agent_lo << ", " << shard.agent_hi << ") scanned=" << shard.scanned
             << " moves=" << shard.moves << " width=" << dist_width_name(shard.width)
