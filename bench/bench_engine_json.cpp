@@ -37,6 +37,13 @@
 // the cache's hit/miss/eviction/peak-bytes counters — the telemetry DESIGN.md
 // §16 quotes for the residency-vs-recompute trade.
 //
+// A "first_scan" section prices the storage plan of first-improvement
+// scans: every agent's first_deviation on equilibrate-gnm's G(520, 1040)
+// start (mover scans) and its converged graph (quiet scans), sum model, and
+// on 32 agents of the clean torus k = 32, max model — each under dense,
+// streamed (row cache) and adaptive (stream, then promote) storage, with
+// the adaptive run's misses and promotions.
+//
 // A second "kernels" section microbenchmarks the dispatched SIMD kernels
 // (util/simd.hpp) directly: every simd::Kernels entry at both widths is
 // timed at n = 1024 once with the dispatch pinned to scalar and once at the
@@ -51,6 +58,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -58,6 +66,7 @@
 #include "core/certify_sharded.hpp"
 #include "core/classic_game.hpp"
 #include "core/dist_provider.hpp"
+#include "core/dynamics.hpp"
 #include "core/equilibrium.hpp"
 #include "core/kstability.hpp"
 #include "core/swap_engine.hpp"
@@ -457,6 +466,107 @@ std::vector<RowCacheRow> measure_row_cache_all(Vertex max_n) {
 }
 
 // ---------------------------------------------------------------------------
+// First-scan plan: first-improvement scans under each storage mode.
+
+struct FirstScanRow {
+  std::string instance;
+  std::string scans;  ///< "mover" (agents with an improving swap) or "quiet"
+  Vertex n = 0;
+  std::string model;
+  std::uint64_t agents = 0;
+  std::uint64_t found = 0;  ///< scans that returned a deviation
+  double dense_seconds = 0.0;
+  double streamed_seconds = 0.0;
+  double adaptive_seconds = 0.0;
+  RowCacheStats adaptive_stats;  ///< misses before promotion, promotions
+};
+
+/// One first_deviation per agent, on a fresh scratch; seconds for the
+/// sweep. `found` counts the deviations, `stats` the scratch's counters.
+double first_scan_sweep(const SwapEngine& engine, const std::vector<Vertex>& agents,
+                        UsageCost model, std::uint64_t& found, RowCacheStats& stats) {
+  SwapEngine::Scratch scratch;
+  found = 0;
+  const double seconds = time_seconds([&] {
+    for (const Vertex v : agents) found += engine.first_deviation(v, model, scratch) ? 1 : 0;
+  });
+  stats = scratch.row_cache_stats();
+  return seconds;
+}
+
+/// Times the same first-scan sweep under the three storage modes: adaptive
+/// (unbudgeted), dense (a lane budget of exactly the slab, which leaves no
+/// room for pre-promotion rows) and streamed (one byte less: the row cache
+/// holds nearly every row). Verdicts are asserted identical.
+FirstScanRow measure_first_scans(std::string instance, std::string scans, const Graph& g,
+                                 UsageCost model, const std::vector<Vertex>& agents) {
+  const Vertex n = g.num_vertices();
+  const SwapEngine adaptive(g);
+  const DistWidth w = adaptive.preferred_width();
+  const std::uint64_t slab = std::uint64_t{n} * n * (w == DistWidth::U8 ? 1 : 2);
+  const std::uint64_t lanes = ThreadPool::global().size();
+  const SwapEngine dense(g, {.mem_budget = lanes * slab});
+  const SwapEngine streamed(g, {.mem_budget = lanes * (slab - 1)});
+  if (adaptive.budget_policy().storage_for(n, w, true) != RowStorage::Adaptive ||
+      dense.budget_policy().storage_for(n, w, true) != RowStorage::Dense ||
+      streamed.budget_policy().storage_for(n, w, true) != RowStorage::Budgeted) {
+    std::cerr << "FATAL: first_scan budgets did not pick the intended storage modes\n";
+    std::exit(1);
+  }
+
+  FirstScanRow row;
+  row.instance = std::move(instance);
+  row.scans = std::move(scans);
+  row.n = n;
+  row.model = model == UsageCost::Sum ? "sum" : "max";
+  row.agents = agents.size();
+  std::uint64_t dense_found = 0, streamed_found = 0;
+  RowCacheStats unused;
+  row.dense_seconds = first_scan_sweep(dense, agents, model, dense_found, unused);
+  row.streamed_seconds = first_scan_sweep(streamed, agents, model, streamed_found, unused);
+  row.adaptive_seconds =
+      first_scan_sweep(adaptive, agents, model, row.found, row.adaptive_stats);
+  if (dense_found != row.found || streamed_found != row.found) {
+    std::cerr << "FATAL: first_scan verdicts differ across storage modes on " << row.instance
+              << "\n";
+    std::exit(1);
+  }
+  return row;
+}
+
+std::vector<FirstScanRow> measure_first_scans_all(Vertex max_n) {
+  std::vector<FirstScanRow> rows;
+  if (max_n >= 512) {
+    // equilibrate-gnm's shape: the start graph's scans (nearly all find a
+    // swap a few rows in) and the converged graph's (none does).
+    Xoshiro256ss rng(0xF125);
+    const Graph start = random_connected_gnm(520, 1040, rng);
+    const DynamicsResult converged = run_dynamics(start, DynamicsConfig{});
+    std::vector<Vertex> agents(start.num_vertices());
+    std::iota(agents.begin(), agents.end(), Vertex{0});
+    rows.push_back(measure_first_scans("gnm", "mover", start, UsageCost::Sum, agents));
+    rows.push_back(
+        measure_first_scans("gnm", "quiet", converged.graph, UsageCost::Sum, agents));
+  }
+  if (max_n >= 1024) {
+    // Clean and vertex-transitive: every scan is quiet, and 32 agents
+    // stand for all 2048.
+    std::vector<Vertex> agents(32);
+    std::iota(agents.begin(), agents.end(), Vertex{0});
+    rows.push_back(measure_first_scans("torus_k32", "quiet", rotated_torus(32).graph(),
+                                       UsageCost::Max, agents));
+  }
+  for (const FirstScanRow& r : rows) {
+    std::cout << "first_scan " << r.instance << " " << r.scans << " n=" << r.n
+              << " model=" << r.model << " agents=" << r.agents << " found=" << r.found
+              << " dense=" << r.dense_seconds << "s streamed=" << r.streamed_seconds
+              << "s adaptive=" << r.adaptive_seconds
+              << "s promotions=" << r.adaptive_stats.promotions << "\n";
+  }
+  return rows;
+}
+
+// ---------------------------------------------------------------------------
 // Kernel microbenchmarks: scalar vs the startup-active dispatch level.
 
 struct KernelRow {
@@ -740,6 +850,7 @@ int main(int argc, char** argv) {
   const std::vector<AlphaRow> alpha_rows = measure_alpha_game(max_n);
   const std::vector<TreeRow> tree_rows = measure_tree_game(max_n);
   const std::vector<RowCacheRow> row_cache_rows = measure_row_cache_all(max_n);
+  const std::vector<FirstScanRow> first_scan_rows = measure_first_scans_all(max_n);
 
   const std::vector<KernelRow> kernel_rows = measure_all_kernels();
   for (const KernelRow& k : kernel_rows) {
@@ -816,6 +927,20 @@ int main(int argc, char** argv) {
         << ", \"evictions\": " << r.stats.evictions << ", \"contexts\": " << r.stats.contexts
         << ", \"peak_bytes\": " << r.stats.peak_bytes << "}"
         << (i + 1 < row_cache_rows.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n";
+  out << "  \"first_scan\": [\n";
+  for (std::size_t i = 0; i < first_scan_rows.size(); ++i) {
+    const FirstScanRow& r = first_scan_rows[i];
+    out << "    {\"instance\": \"" << r.instance << "\", \"scans\": \"" << r.scans
+        << "\", \"n\": " << r.n << ", \"model\": \"" << r.model << "\""
+        << ", \"agents\": " << r.agents << ", \"found\": " << r.found
+        << ", \"dense_seconds\": " << r.dense_seconds
+        << ", \"streamed_seconds\": " << r.streamed_seconds
+        << ", \"adaptive_seconds\": " << r.adaptive_seconds
+        << ", \"adaptive_misses\": " << r.adaptive_stats.misses
+        << ", \"adaptive_promotions\": " << r.adaptive_stats.promotions << "}"
+        << (i + 1 < first_scan_rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
   out << "  \"kernels\": [\n";

@@ -93,11 +93,11 @@ bool WidthAndBudgetPolicy::probe_prefers_u8(const CsrGraph& csr, BatchBfsWorkspa
   return spans && 2 * ecc <= kMaxFiniteFor<std::uint8_t>;
 }
 
-bool WidthAndBudgetPolicy::dense_fits(Vertex n, DistWidth w) const noexcept {
+bool WidthAndBudgetPolicy::fits(Vertex n, DistWidth w, std::uint64_t rows) const noexcept {
   if (n >= kInfDist16) return false;  // dense scans use 16-bit-id traversals
   if (lane_budget_ == 0) return true;
   const std::uint64_t bytes =
-      std::uint64_t{n} * n * (w == DistWidth::U8 ? sizeof(std::uint8_t) : sizeof(std::uint16_t));
+      rows * n * (w == DistWidth::U8 ? sizeof(std::uint8_t) : sizeof(std::uint16_t));
   return bytes <= lane_budget_;
 }
 
@@ -109,22 +109,23 @@ bool DistanceProvider<Dist>::begin(const CsrGraph& csr, Vertex masked_vertex, Di
   storage_ = storage;
   csr_ = &csr;
   n_ = csr.num_vertices();
-  if (storage == RowStorage::Dense) {
-    const std::size_t cells = static_cast<std::size_t>(n_) * n_;
-    if (dense_slab.size() < cells) dense_slab.resize(cells);
-    if (!csr_apsp_capped<Dist>(csr, MaskedEdge{}, dense_slab.data(), ws, masked_vertex, inf_value,
-                               max_finite)) {
-      return false;
-    }
-    dense_ = dense_slab.data();
-    return true;
-  }
+  slab_ = &dense_slab;
+  masked_vertex_ = masked_vertex;
+  inf_value_ = inf_value;
+  max_finite_ = max_finite;
+  if (storage == RowStorage::Dense) return fill_slab(ws);
   dense_ = nullptr;
   // Budgeted with an unlimited budget (possible at n ≥ 65535, where the
   // dense path is unavailable regardless): blocks grow on demand, LRU never
-  // needs to evict.
-  const std::uint64_t effective =
-      budget_bytes != 0 ? budget_bytes : std::numeric_limits<std::uint64_t>::max();
+  // needs to evict. Adaptive: the slab it may promote into comes out of
+  // the budget first (the policy checked that the pre-promotion rows fit
+  // the rest).
+  const std::uint64_t slab_bytes =
+      storage == RowStorage::Adaptive ? std::uint64_t{n_} * n_ * sizeof(Dist) : 0;
+  BNCG_REQUIRE(budget_bytes == 0 || budget_bytes > slab_bytes,
+               "adaptive storage needs a budget above its dense slab");
+  const std::uint64_t effective = budget_bytes != 0 ? budget_bytes - slab_bytes
+                                                    : std::numeric_limits<std::uint64_t>::max();
   if (!cache_configured_ || cache_budget_ != effective || cache_n_ != n_) {
     cache_.configure(n_, effective);
     cache_configured_ = true;
@@ -136,7 +137,28 @@ bool DistanceProvider<Dist>::begin(const CsrGraph& csr, Vertex masked_vertex, Di
 }
 
 template <typename Dist>
+bool DistanceProvider<Dist>::fill_slab(BatchBfsWorkspace& ws) {
+  storage_ = RowStorage::Dense;
+  const std::size_t cells = static_cast<std::size_t>(n_) * n_;
+  if (slab_->size() < cells) slab_->resize(cells);
+  dense_ = slab_->data();
+  return csr_apsp_capped<Dist>(*csr_, MaskedEdge{}, slab_->data(), ws, masked_vertex_, inf_value_,
+                               max_finite_);
+}
+
+template <typename Dist>
+bool DistanceProvider<Dist>::promote_before(std::size_t missing, BatchBfsWorkspace& ws) {
+  const std::size_t filled = cache_.context_filled().size();
+  if (filled + missing <= WidthAndBudgetPolicy::rows_before_promotion(n_)) return true;
+  ++promotions_;
+  return fill_slab(ws);
+}
+
+template <typename Dist>
 const Dist* DistanceProvider<Dist>::row(Vertex source, BatchBfsWorkspace& ws) {
+  if (storage_ == RowStorage::Adaptive && !cache_.resident(source) && !promote_before(1, ws)) {
+    return nullptr;
+  }
   if (storage_ == RowStorage::Dense) {
     BNCG_REQUIRE(dense_ != nullptr, "distance provider used before begin()");
     return dense_ + static_cast<std::size_t>(source) * n_;
@@ -146,6 +168,11 @@ const Dist* DistanceProvider<Dist>::row(Vertex source, BatchBfsWorkspace& ws) {
 
 template <typename Dist>
 bool DistanceProvider<Dist>::prefetch(std::span<const Vertex> sources, BatchBfsWorkspace& ws) {
+  if (storage_ == RowStorage::Adaptive) {
+    const auto missing = std::count_if(sources.begin(), sources.end(),
+                                       [&](Vertex s) { return !cache_.resident(s); });
+    if (!promote_before(static_cast<std::size_t>(missing), ws)) return false;
+  }
   if (storage_ == RowStorage::Dense) return true;
   return cache_.prefetch(sources, ws);
 }
@@ -158,13 +185,13 @@ bool DistanceProvider<Dist>::resident(Vertex source) const {
 
 template <typename Dist>
 const RowCache<Dist>& DistanceProvider<Dist>::cache() const {
-  BNCG_REQUIRE(storage_ == RowStorage::Budgeted, "cache() is budgeted-mode introspection");
+  BNCG_REQUIRE(storage_ != RowStorage::Dense, "cache() is row-cache-mode introspection");
   return cache_;
 }
 
 template <typename Dist>
 RowCache<Dist>& DistanceProvider<Dist>::cache() {
-  BNCG_REQUIRE(storage_ == RowStorage::Budgeted, "cache() is budgeted-mode introspection");
+  BNCG_REQUIRE(storage_ != RowStorage::Dense, "cache() is row-cache-mode introspection");
   return cache_;
 }
 

@@ -13,20 +13,26 @@
 // core/swap_engine.hpp).
 //
 // WidthAndBudgetPolicy turns a ResourceConfig into the two decisions the
-// scan tiers need: which width to prefer (one capped BFS probe), and
-// whether a dense n×n scan slab fits the per-lane budget share — when it
-// does not, the scan runs in BUDGETED mode against the blocked row cache
-// (graph/row_cache.hpp), where rows materialize on demand by exact BFS and
-// an eccentricity/landmark bound proves most rows can never affect the
-// verdict, so they are never materialized (DESIGN.md §16). Both modes are
-// exact; the differential suite (tests/test_row_cache.cpp) pins byte-parity.
+// scan tiers need: which width to prefer (one capped BFS probe), and which
+// storage a scan's rows live in. A full scan is dense when its n×n slab
+// fits the per-lane budget share; when it does not, the scan runs in
+// BUDGETED mode against the blocked row cache (graph/row_cache.hpp), where
+// rows materialize on demand by exact BFS and an eccentricity/landmark
+// bound proves most rows can never affect the verdict, so they are never
+// materialized (DESIGN.md §16). A first-improvement scan, which usually
+// stops a few rows in, runs ADAPTIVE when the slab plus its pre-promotion
+// rows fit: it streams through the row cache and promotes itself to dense
+// on its ⌈n/64⌉+1-th miss. Every mode is exact; the differential suite
+// (tests/test_row_cache.cpp) pins byte-parity.
 //
 // DistanceProvider<Dist> is the row source of the engine's one scan body
-// (SwapEngine::scan_agent_t): the storage mode is the only thing dense and
-// budgeted scans differ in. Dense mode materializes the full masked matrix
-// up front by one batched APSP (the small-n fast path; prefetch is a no-op
-// and row() points into the slab), budgeted mode opens a row-cache context
-// and serves rows lazily under the budget.
+// (SwapEngine::scan_agent_t): the storage mode is the only thing dense,
+// budgeted and adaptive scans differ in. Dense mode materializes the full
+// masked matrix up front by one batched APSP (prefetch is a no-op and row()
+// points into the slab), budgeted mode opens a row-cache context and serves
+// rows lazily under the budget, and adaptive mode starts budgeted and turns
+// dense once the scan has read as many rows as the batched APSP runs
+// 64-source sweeps.
 #pragma once
 
 #include <cstdint>
@@ -63,12 +69,13 @@ struct ResourceConfig {
 /// 0 (= unlimited).
 [[nodiscard]] std::uint64_t resolved_mem_budget(const ResourceConfig& config);
 
-/// Whether a scan materializes its rows densely or through the budgeted
-/// row cache.
-enum class RowStorage : std::uint8_t { Dense, Budgeted };
+/// Whether a scan materializes its rows densely, through the budgeted row
+/// cache, or through the row cache until it has missed
+/// rows_before_promotion(n) rows and densely from then on.
+enum class RowStorage : std::uint8_t { Dense, Budgeted, Adaptive };
 
 /// The resolved resource decisions of one instance: width preference and
-/// dense-vs-budgeted storage per width. One policy object per engine/state
+/// row storage per width. One policy object per engine/state
 /// rebuild; cheap value type.
 class WidthAndBudgetPolicy {
  public:
@@ -104,23 +111,29 @@ class WidthAndBudgetPolicy {
   /// saturation-checked, not 16-bit-limited).
   [[nodiscard]] bool probe_prefers_u8(const CsrGraph& csr, BatchBfsWorkspace& ws) const;
 
-  /// Largest n at which a first-improvement scan takes the dense slab: it
-  /// usually stops a few rows in, so above this n streaming its rows wins
-  /// (DESIGN.md §16 has the measurements).
-  static constexpr Vertex kFirstScanDenseMaxVertices = 4096;
+  /// Cache misses an adaptive scan streams before it promotes itself to
+  /// dense: ⌈n/64⌉, the number of 64-source sweeps the dense APSP runs.
+  [[nodiscard]] static constexpr Vertex rows_before_promotion(Vertex n) noexcept {
+    return (n + 63) / 64;
+  }
 
   /// True when a dense n×n scan slab at width `w` fits the per-lane budget
   /// (and the dense scan's 16-bit encoding limit n < 65535 holds).
-  [[nodiscard]] bool dense_fits(Vertex n, DistWidth w) const noexcept;
-  /// Dense when the slab fits (and a stop-at-first scan has n ≤
-  /// kFirstScanDenseMaxVertices); else budgeted, unbounded when unbudgeted.
+  [[nodiscard]] bool dense_fits(Vertex n, DistWidth w) const noexcept { return fits(n, w, n); }
+  /// A stop-at-first scan: adaptive when the slab plus the rows read before
+  /// promotion fit, else dense when the slab alone fits. A full scan: dense
+  /// when the slab fits. Otherwise budgeted, unbounded when unbudgeted.
   [[nodiscard]] RowStorage storage_for(Vertex n, DistWidth w,
                                        bool stop_at_first = false) const noexcept {
-    const bool dense = dense_fits(n, w) && (!stop_at_first || n <= kFirstScanDenseMaxVertices);
-    return dense ? RowStorage::Dense : RowStorage::Budgeted;
+    if (stop_at_first && fits(n, w, n + rows_before_promotion(n))) return RowStorage::Adaptive;
+    return dense_fits(n, w) ? RowStorage::Dense : RowStorage::Budgeted;
   }
 
  private:
+  /// True when `rows` n-entry rows at width `w` fit the per-lane budget
+  /// and n is within the dense scan's 16-bit encoding.
+  [[nodiscard]] bool fits(Vertex n, DistWidth w, std::uint64_t rows) const noexcept;
+
   WidthPolicy width_ = WidthPolicy::Auto;
   std::uint64_t total_budget_ = 0;
   std::uint64_t lane_budget_ = 0;
@@ -129,53 +142,78 @@ class WidthAndBudgetPolicy {
 /// Uniform row source of one agent scan at storage width `Dist`.
 ///
 /// Dense mode: begin() materializes the full masked matrix into the
-/// caller's slab by one capped APSP, chosen by the policy whenever it fits
-/// the lane budget. Budgeted mode: begin() opens a RowCache context; rows
-/// materialize on the first touch and live under the byte budget with
-/// block-LRU eviction.
+/// caller's slab by one capped APSP. Budgeted mode: begin() opens a
+/// RowCache context; rows materialize on the first touch and live under the
+/// byte budget with block-LRU eviction. Adaptive mode: begin() opens a
+/// RowCache context (its budget is what the slab leaves of the lane share)
+/// and keeps the slab at hand; the row() or prefetch() that would take the
+/// context past rows_before_promotion(n) misses instead runs the dense APSP
+/// into the slab, and the provider serves that and every later row densely
+/// (storage() reads Dense from then on).
 ///
-/// In both modes row() returns exact distances of the masked snapshot
-/// (nullptr on width saturation — the caller redoes the scan wider), and
-/// in both modes a returned pointer stays valid until the next
-/// materializing call (dense pointers live until the next begin()).
+/// In every mode row() returns exact distances of the masked snapshot
+/// (nullptr on width saturation — the caller redoes the scan wider; a
+/// promotion saturates when any row of the slab does), and a returned
+/// pointer stays valid until the next materializing call (dense pointers
+/// live until the next begin()).
 template <typename Dist>
 class DistanceProvider {
  public:
   /// Prepares a scan context over `csr` with `masked_vertex` removed.
-  /// Returns false on width saturation (dense mode only — budgeted mode
-  /// saturates lazily, at the failing row() / prefetch()).
+  /// Returns false on width saturation (dense mode only — the row-cache
+  /// modes saturate lazily, at the failing row() / prefetch()). The slab
+  /// must outlive the context.
   [[nodiscard]] bool begin(const CsrGraph& csr, Vertex masked_vertex, Dist inf_value,
                            Dist max_finite, RowStorage storage, std::uint64_t budget_bytes,
                            AlignedVec<Dist>& dense_slab, BatchBfsWorkspace& ws);
 
+  /// The mode rows are served in now (an adaptive context reads Dense once
+  /// it has promoted).
   [[nodiscard]] RowStorage storage() const noexcept { return storage_; }
 
   /// Row of `source` in the current context; nullptr on width saturation.
   [[nodiscard]] const Dist* row(Vertex source, BatchBfsWorkspace& ws);
 
-  /// Batch-materializes missing rows (budgeted mode; dense mode is a
+  /// Batch-materializes missing rows (row-cache modes; dense mode is a
   /// no-op — everything is already resident). False on saturation.
   [[nodiscard]] bool prefetch(std::span<const Vertex> sources, BatchBfsWorkspace& ws);
 
-  /// Budgeted-mode introspection (dense mode: trivially true / all rows).
+  /// Row-cache-mode introspection (dense mode: trivially true / all rows).
   [[nodiscard]] bool resident(Vertex source) const;
 
-  /// The cache behind budgeted mode (REQUIREs budgeted mode) — stats and
-  /// residency introspection for benches and the differential suite.
+  /// The cache behind the row-cache modes (REQUIREs that the context is
+  /// not dense) — residency introspection for the differential suite.
   [[nodiscard]] const RowCache<Dist>& cache() const;
   [[nodiscard]] RowCache<Dist>& cache();
-  /// Cache counters regardless of mode (all-zero if budgeted mode never ran).
-  [[nodiscard]] const RowCacheStats& cache_stats() const noexcept { return cache_.stats(); }
+  /// Cache counters plus this provider's promotions, regardless of mode
+  /// (all-zero if no row-cache context ever opened).
+  [[nodiscard]] RowCacheStats cache_stats() const noexcept {
+    RowCacheStats stats = cache_.stats();
+    stats.promotions = promotions_;
+    return stats;
+  }
 
  private:
+  /// Runs the one batched masked APSP of the context into the slab and
+  /// switches to dense mode. False on width saturation.
+  [[nodiscard]] bool fill_slab(BatchBfsWorkspace& ws);
+  /// Adaptive mode: promotes when `missing` more misses would take the
+  /// context past rows_before_promotion(n). False on width saturation.
+  [[nodiscard]] bool promote_before(std::size_t missing, BatchBfsWorkspace& ws);
+
   RowStorage storage_ = RowStorage::Dense;
   const CsrGraph* csr_ = nullptr;
   const Dist* dense_ = nullptr;
+  AlignedVec<Dist>* slab_ = nullptr;
+  Vertex masked_vertex_ = kNoVertex;
+  Dist inf_value_ = 0;
+  Dist max_finite_ = 0;
   Vertex n_ = 0;
   RowCache<Dist> cache_;
   bool cache_configured_ = false;
   std::uint64_t cache_budget_ = 0;
   Vertex cache_n_ = 0;
+  std::uint64_t promotions_ = 0;
 };
 
 extern template class DistanceProvider<std::uint8_t>;

@@ -20,7 +20,8 @@ namespace {
 ///    scan costs a streamed row update instead of a fresh masked APSP.
 ///  * SwapEngine-backed (every other n): one CSR snapshot per accepted
 ///    move, rows dense or budgeted as the engine's policy decides (the
-///    first-improvement scans stream above kFirstScanDenseMaxVertices).
+///    first-improvement scans stream, and promote themselves to the dense
+///    slab past ⌈n/64⌉ rows).
 ///  * naive (BNCG_FORCE_NAIVE): the original BFS-per-candidate oracle.
 /// All three return bit-identical deviations, so trajectories do not depend
 /// on the tier (differential-tested in tests/test_search_state.cpp). Each

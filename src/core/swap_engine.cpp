@@ -126,14 +126,15 @@ void build_cover_sets(const Dist* rows, Vertex n, Vertex v, const Vertex* far,
 }  // namespace
 
 RowCacheStats SwapEngine::Scratch::row_cache_stats() const {
-  const RowCacheStats& a = rows8_.provider.cache_stats();
-  const RowCacheStats& b = rows16_.provider.cache_stats();
+  const RowCacheStats a = rows8_.provider.cache_stats();
+  const RowCacheStats b = rows16_.provider.cache_stats();
   RowCacheStats out;
   out.hits = a.hits + b.hits;
   out.misses = a.misses + b.misses;
   out.evictions = a.evictions + b.evictions;
   out.contexts = a.contexts + b.contexts;
   out.peak_bytes = a.peak_bytes + b.peak_bytes;
+  out.promotions = a.promotions + b.promotions;
   return out;
 }
 
@@ -165,7 +166,7 @@ void SwapEngine::rebuild(const Graph& g) {
   const Vertex n = csr_.num_vertices();
   // One policy object per snapshot: the width-preference probe (formerly an
   // in-engine csr_bfs, now budget-aware and n-unbounded) plus the per-width
-  // dense-vs-budgeted storage decision under the per-lane budget share.
+  // row-storage decision under the per-lane budget share.
   // Instances at n ≥ 65535 — beyond the dense scan's 16-bit encoding — are
   // accepted here and always run budgeted.
   budget_policy_ = WidthAndBudgetPolicy(resources_);
@@ -212,7 +213,8 @@ bool SwapEngine::neighbor_fold_t(Vertex v, RowStorage storage, Scratch& s) const
   // Every row below is a row of G − v, the source-removal identity's
   // traversal bill. Dense storage pays it up front with one batched masked
   // APSP into the scratch slab; budgeted storage opens a row-cache context
-  // and pays per row on first touch.
+  // and pays per row on first touch; adaptive storage pays per row until
+  // the provider promotes itself to the slab.
   auto& rows = s.rows<Dist>();
   auto& provider = rows.provider;
   if (!provider.begin(csr_, /*masked_vertex=*/v, kInf, engine_max_finite<Dist>(), storage,

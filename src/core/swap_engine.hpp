@@ -30,9 +30,11 @@
 //     survivors, which are proven improvers.
 //
 // There is one scan body. Its rows come from a DistanceProvider
-// (core/dist_provider.hpp) whose storage mode — one dense masked APSP per
-// agent, or a budgeted row cache — the WidthAndBudgetPolicy picks by memory
-// fit; the mode changes speed and memory, never results.
+// (core/dist_provider.hpp) whose storage mode the WidthAndBudgetPolicy
+// picks: one dense masked APSP per agent, a budgeted row cache, or — for
+// first-improvement scans — a row cache that promotes itself to the dense
+// slab once the scan has missed ⌈n/64⌉ rows without stopping. The mode
+// changes speed and memory, never results.
 //
 // The scan kernels are templated on the distance storage width
 // (graph/dist_width.hpp): on small-diameter instances the per-agent masked
@@ -40,7 +42,10 @@
 // halving the combine's memory traffic — DESIGN.md §10. Width is a pure
 // storage choice: any agent whose masked sweep meets a distance the narrow
 // cap cannot represent is transparently redone at u16 (width_fallbacks()),
-// so results never depend on the width.
+// so results never depend on the width. The count follows the storage a
+// scan actually used: a dense sweep saturates where any row of G − v does,
+// a streamed one only where a row it read does, so an adaptive scan that
+// promotes can fall back where the same scan unpromoted would not.
 //
 // Scans enumerate candidates in exactly the naive order and apply exactly
 // the naive acceptance rules, so engine results are bit-identical to the
@@ -52,7 +57,8 @@
 // and run_dynamics, hence Instance::equilibrate) run the engine at every n;
 // BNCG_FORCE_NAIVE=1 routes them to the oracles. Storage is the
 // WidthAndBudgetPolicy's decision, not a route: unbudgeted, a large-n full
-// scan allocates a dense n×n slab per lane, which BNCG_MEM_BUDGET bounds.
+// scan allocates a dense n×n slab per lane (a first-improvement scan only
+// when it promotes), which BNCG_MEM_BUDGET bounds.
 // The dense-only k-move and α-game paths refuse a budget below their slab
 // (DenseSlabRefused). The toggle does NOT route what builds a SwapEngine
 // explicitly: certify_sharded (hence Instance::certify),
@@ -123,7 +129,7 @@ class SwapEngine {
     friend class SwapEngine;
 
     /// Row providers of this scratch, one per width; every basic-game scan
-    /// reads its rows through them in dense or budgeted mode —
+    /// reads its rows through them in dense, budgeted or adaptive mode —
     /// residency/stat introspection for benches and the prune-soundness
     /// suite.
     [[nodiscard]] const DistanceProvider<std::uint8_t>& provider8() const noexcept {
@@ -132,8 +138,8 @@ class SwapEngine {
     [[nodiscard]] const DistanceProvider<std::uint16_t>& provider16() const noexcept {
       return rows16_.provider;
     }
-    /// Combined row-cache counters of both widths (all-zero while every
-    /// scan ran dense).
+    /// Combined row-cache counters and promotions of both widths (all-zero
+    /// while every scan ran dense).
     [[nodiscard]] RowCacheStats row_cache_stats() const;
 
    private:
@@ -146,7 +152,7 @@ class SwapEngine {
       AlignedVec<Dist> min2;  // elementwise second min
       AlignedVec<Dist> mrow;  // M^w: min over N(v)∖{w}
       AlignedVec<Dist> arow;  // k-way min-fold target (k-swap subsets)
-      DistanceProvider<Dist> provider;  // dense slab or budgeted row cache
+      DistanceProvider<Dist> provider;  // dense slab and/or row cache
     };
     template <typename Dist>
     [[nodiscard]] Rows<Dist>& rows() noexcept {
@@ -175,7 +181,8 @@ class SwapEngine {
   /// the storage width resources.width allows (graph/dist_width.hpp), and
   /// any width whose dense n×n slab would exceed the per-lane share of the
   /// memory budget runs BUDGETED — distance rows materialize on demand in
-  /// the blocked row cache instead of up front. Instances at n ≥ 65535,
+  /// the blocked row cache instead of up front. First-improvement scans run
+  /// ADAPTIVE when the slab plus ⌈n/64⌉ rows fit. Instances at n ≥ 65535,
   /// beyond the dense scan's 16-bit encoding, always run budgeted. Both
   /// modes and every width are exact: resources change speed and memory,
   /// never results.
@@ -291,7 +298,8 @@ class SwapEngine {
   /// The one width-typed basic-game scan body, over rows from the
   /// DistanceProvider in the `storage` mode the policy chose (dense: one
   /// batched masked APSP into the slab; budgeted: the row cache under the
-  /// per-lane byte budget). The agent's current cost derives from the
+  /// per-lane byte budget; adaptive: the row cache until ⌈n/64⌉ misses,
+  /// then the slab). The agent's current cost derives from the
   /// neighbor min-fold; the max model streams its far filter over far-vertex
   /// rows (by symmetry d(f, w₂) = d(w₂, f)), largest M^w first, so only
   /// proven improvers are combined; the sum model prunes candidates whose

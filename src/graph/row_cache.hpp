@@ -56,6 +56,9 @@ struct RowCacheStats {
   std::uint64_t evictions = 0;   ///< blocks recycled while holding live rows
   std::uint64_t contexts = 0;    ///< begin_context() calls (≈ agent scans)
   std::uint64_t peak_bytes = 0;  ///< high-water mark of block storage bytes
+  /// Adaptive contexts that turned dense (counted by the DistanceProvider
+  /// that owns the cache; a bare RowCache leaves it 0).
+  std::uint64_t promotions = 0;
 };
 
 /// Fixed-budget cache of masked distance rows, one instantiation per

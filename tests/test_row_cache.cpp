@@ -6,21 +6,26 @@
 // by agent in both storage modes, survive eviction thrash
 // (budget barely above one block), and never prune a row that could have
 // mattered (every never-materialized candidate re-verified non-improving
-// by BFS). CMakeLists pins the whole RowCache* filter at BNCG_THREADS 1
-// and 4 — lane budgets derive from the pool size, so both counts must
-// certify identically.
+// by BFS). Adaptive storage (stream, then promote to the dense slab) is
+// checked row by row against dense across its promotion and scan by scan
+// against the oracle and budgeted storage. CMakeLists pins the whole
+// RowCache* filter at BNCG_THREADS 1 and 4 — lane budgets derive from the
+// pool size, so both counts must certify identically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/certify_sharded.hpp"
 #include "core/dist_provider.hpp"
+#include "core/dynamics.hpp"
 #include "core/equilibrium.hpp"
 #include "core/instance.hpp"
+#include "core/search_state.hpp"
 #include "core/swap.hpp"
 #include "core/swap_engine.hpp"
 #include "core/usage_cost.hpp"
@@ -29,6 +34,7 @@
 #include "gen/random.hpp"
 #include "graph/bfs.hpp"
 #include "graph/dist_width.hpp"
+#include "graph/io.hpp"
 #include "graph/row_cache.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -126,14 +132,20 @@ TEST(RowCache, PolicyWidthThresholds) {
   WidthAndBudgetPolicy unlimited{ResourceConfig{}, /*lanes=*/1};
   EXPECT_TRUE(unlimited.dense_fits(1000, DistWidth::U8));
   EXPECT_FALSE(unlimited.dense_fits(kInfDist16, DistWidth::U16));
-  // First-improvement scans stream above kFirstScanDenseMaxVertices even
-  // when the slab fits; full scans keep it.
-  constexpr Vertex kFirstCap = WidthAndBudgetPolicy::kFirstScanDenseMaxVertices;
-  EXPECT_EQ(unlimited.storage_for(kFirstCap, DistWidth::U16, /*stop_at_first=*/true),
-            RowStorage::Dense);
-  EXPECT_EQ(unlimited.storage_for(kFirstCap + 1, DistWidth::U8, /*stop_at_first=*/true),
+  // Unbudgeted first-improvement scans stream and promote themselves to
+  // the slab at every n below the u16 id cap; full scans keep the slab.
+  EXPECT_EQ(unlimited.storage_for(4096, DistWidth::U16, /*stop_at_first=*/true),
+            RowStorage::Adaptive);
+  EXPECT_EQ(unlimited.storage_for(4097, DistWidth::U8, /*stop_at_first=*/true),
+            RowStorage::Adaptive);
+  EXPECT_EQ(unlimited.storage_for(4097, DistWidth::U8), RowStorage::Dense);
+  EXPECT_EQ(unlimited.storage_for(kInfDist16, DistWidth::U16, /*stop_at_first=*/true),
             RowStorage::Budgeted);
-  EXPECT_EQ(unlimited.storage_for(kFirstCap + 1, DistWidth::U8), RowStorage::Dense);
+  // ⌈n/64⌉ pre-promotion rows: one 64-source sweep of the dense APSP each.
+  EXPECT_EQ(WidthAndBudgetPolicy::rows_before_promotion(1), 1u);
+  EXPECT_EQ(WidthAndBudgetPolicy::rows_before_promotion(64), 1u);
+  EXPECT_EQ(WidthAndBudgetPolicy::rows_before_promotion(65), 2u);
+  EXPECT_EQ(WidthAndBudgetPolicy::rows_before_promotion(520), 9u);
   // A 10-byte lane budget rejects any dense slab bigger than 3×3.
   ResourceConfig tiny;
   tiny.mem_budget = 10;
@@ -143,6 +155,16 @@ TEST(RowCache, PolicyWidthThresholds) {
   EXPECT_FALSE(capped.dense_fits(3, DistWidth::U16));
   EXPECT_EQ(capped.storage_for(4, DistWidth::U8), RowStorage::Budgeted);
   EXPECT_EQ(capped.storage_for(3, DistWidth::U8), RowStorage::Dense);
+  // The 3×3 slab fits, the slab plus its one pre-promotion row (12 bytes)
+  // does not: a first-improvement scan takes the slab up front.
+  EXPECT_EQ(capped.storage_for(3, DistWidth::U8, /*stop_at_first=*/true), RowStorage::Dense);
+  EXPECT_EQ(capped.storage_for(4, DistWidth::U8, /*stop_at_first=*/true), RowStorage::Budgeted);
+  ResourceConfig roomy;
+  roomy.mem_budget = 12;
+  const WidthAndBudgetPolicy adaptive{roomy, /*lanes=*/1};
+  EXPECT_EQ(adaptive.storage_for(3, DistWidth::U8, /*stop_at_first=*/true),
+            RowStorage::Adaptive);
+  EXPECT_EQ(adaptive.storage_for(3, DistWidth::U8), RowStorage::Dense);
 }
 
 TEST(RowCache, ConfigureRejectsImpossibleBudget) {
@@ -461,6 +483,256 @@ TEST(RowCache, PruneSoundnessGnm) {
     const Graph g = random_connected_gnm(30, 60, rng);
     check_prune_soundness(g, UsageCost::Max, "gnm/max seed=" + std::to_string(seed));
     check_prune_soundness(g, UsageCost::Sum, "gnm/sum seed=" + std::to_string(seed));
+  }
+}
+
+// ---------------------------------------------------- adaptive promotion
+
+/// Adaptive rows equal dense rows for every source, before and after the
+/// promotion; the promotion fires on exactly the (⌈n/64⌉+1)-th distinct
+/// miss (re-reads are hits and never count), and a prefetch promotes
+/// instead of filling when its misses would pass the limit.
+template <typename Dist>
+void check_adaptive_promotion(const Graph& g, const std::string& name) {
+  constexpr Dist kInf = kSearchInfFor<Dist>;
+  constexpr Dist kMax = kMaxFiniteFor<Dist>;
+  const CsrGraph csr(g);
+  const Vertex n = csr.num_vertices();
+  const Vertex limit = WidthAndBudgetPolicy::rows_before_promotion(n);
+  BatchBfsWorkspace ws;
+  AlignedVec<Dist> dense_slab, adaptive_slab;
+  DistanceProvider<Dist> dense, adaptive;
+  for (const Vertex masked : {Vertex{0}, n / 2, n - 1}) {
+    const std::string ctx = name + " masked=" + std::to_string(masked);
+    ASSERT_TRUE(dense.begin(csr, masked, kInf, kMax, RowStorage::Dense, 0, dense_slab, ws));
+    ASSERT_TRUE(
+        adaptive.begin(csr, masked, kInf, kMax, RowStorage::Adaptive, 0, adaptive_slab, ws));
+    const RowCacheStats before = adaptive.cache_stats();
+    for (Vertex i = 0; i < n; ++i) {
+      const Vertex source = static_cast<Vertex>((std::uint64_t{i} * 37 + 11) % n);
+      for (int read = 0; read < 2; ++read) {
+        const Dist* got = adaptive.row(source, ws);
+        ASSERT_NE(got, nullptr) << ctx;
+        const Dist* want = dense.row(source, ws);
+        ASSERT_TRUE(std::equal(want, want + n, got)) << ctx << " source=" << source;
+        const bool promoted = i >= limit;
+        ASSERT_EQ(adaptive.storage(), promoted ? RowStorage::Dense : RowStorage::Adaptive)
+            << ctx << " i=" << i;
+        ASSERT_EQ(adaptive.cache_stats().promotions - before.promotions, promoted ? 1u : 0u)
+            << ctx;
+      }
+    }
+    EXPECT_EQ(adaptive.cache_stats().misses - before.misses, limit) << ctx;
+    EXPECT_EQ(adaptive.cache_stats().hits - before.hits, limit) << ctx;
+
+    // Prefetch: `limit` misses stream, re-prefetching them is free, one
+    // more miss promotes without filling a row.
+    ASSERT_TRUE(
+        adaptive.begin(csr, masked, kInf, kMax, RowStorage::Adaptive, 0, adaptive_slab, ws));
+    std::vector<Vertex> sources;
+    for (Vertex s = 0; s <= limit; ++s) sources.push_back(s);
+    const std::span<const Vertex> head(sources.data(), limit);
+    const RowCacheStats streamed = adaptive.cache_stats();
+    ASSERT_TRUE(adaptive.prefetch(head, ws));
+    ASSERT_TRUE(adaptive.prefetch(head, ws));
+    EXPECT_EQ(adaptive.storage(), RowStorage::Adaptive) << ctx;
+    EXPECT_EQ(adaptive.cache_stats().misses - streamed.misses, limit) << ctx;
+    ASSERT_TRUE(adaptive.prefetch(sources, ws));
+    EXPECT_EQ(adaptive.storage(), RowStorage::Dense) << ctx;
+    EXPECT_EQ(adaptive.cache_stats().misses - streamed.misses, limit) << ctx;
+    EXPECT_EQ(adaptive.cache_stats().promotions - streamed.promotions, 1u) << ctx;
+    for (Vertex s = 0; s < n; ++s) {
+      const Dist* want = dense.row(s, ws);
+      ASSERT_TRUE(std::equal(want, want + n, adaptive.row(s, ws))) << ctx << " source=" << s;
+    }
+  }
+}
+
+TEST(RowCache, AdaptiveRowsMatchDenseAcrossThePromotion) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Xoshiro256ss rng(seed * 0xada);
+    const Vertex n = static_cast<Vertex>(100 + 50 * seed);  // 2, 3 and 4 rows before promotion
+    const Graph g = random_connected_gnm(n, 2 * n, rng);
+    const std::string name = "seed=" + std::to_string(seed);
+    check_adaptive_promotion<std::uint8_t>(g, name + " u8");
+    check_adaptive_promotion<std::uint16_t>(g, name + " u16");
+    if (HasFatalFailure()) return;
+  }
+}
+
+/// A path of 101 vertices plus a leaf (vertex 0) on its center (vertex 1);
+/// ids 2, 3, 4, … walk outward from the center alternately left and right.
+/// Masking the leaf, the rows of vertices near the center fit u8 (ecc ≤ 51)
+/// while the ends' rows (ecc 100) do not: a streamed u8 scan that reads
+/// ids in ascending order first meets the cap when it promotes.
+Graph centered_path_with_leaf() {
+  constexpr Vertex kHalf = 50;
+  Graph g(2 * kHalf + 2);
+  g.add_edge(0, 1);
+  Vertex left = 1, right = 1;
+  for (Vertex k = 1; k <= kHalf; ++k) {
+    g.add_edge(left, 2 * k);
+    g.add_edge(right, 2 * k + 1);
+    left = 2 * k;
+    right = 2 * k + 1;
+  }
+  return g;
+}
+
+TEST(RowCache, AdaptivePromotionSaturatesAtU8AndTheU16RedoMatchesTheOracle) {
+  const Graph g = centered_path_with_leaf();
+  const CsrGraph csr(g);
+  const Vertex n = g.num_vertices();
+  ASSERT_EQ(WidthAndBudgetPolicy::rows_before_promotion(n), 2u);
+  BatchBfsWorkspace ws;
+  AlignedVec<std::uint8_t> slab;
+  DistanceProvider<std::uint8_t> adaptive;
+  ASSERT_TRUE(adaptive.begin(csr, /*masked_vertex=*/0, kSearchInf8,
+                             kMaxFiniteFor<std::uint8_t>, RowStorage::Adaptive, 0, slab, ws));
+  EXPECT_NE(adaptive.row(1, ws), nullptr);
+  EXPECT_NE(adaptive.row(2, ws), nullptr);
+  EXPECT_EQ(adaptive.row(3, ws), nullptr);  // the promotion's APSP meets the ends
+  EXPECT_EQ(adaptive.cache_stats().promotions, 1u);
+  DistanceProvider<std::uint8_t> budgeted;  // the same row, streamed, fits
+  ASSERT_TRUE(budgeted.begin(csr, 0, kSearchInf8, kMaxFiniteFor<std::uint8_t>,
+                             RowStorage::Budgeted, 0, slab, ws));
+  EXPECT_NE(budgeted.row(3, ws), nullptr);
+
+  BfsWorkspace bfs;
+  for (const RunSpec& run : kRuns) {
+    const SwapEngine engine(g, {.width = WidthPolicy::ForceU8});
+    ASSERT_EQ(engine.budget_policy().storage_for(n, DistWidth::U8, /*stop_at_first=*/true),
+              RowStorage::Adaptive);
+    SwapEngine::Scratch scratch;
+    const auto got = engine.first_deviation(0, run.model, scratch, run.include_deletions);
+    expect_dev_eq(naive_deviation(g, 0, run, /*first=*/true, bfs), got, run.name);
+    EXPECT_EQ(engine.width_fallbacks(), 1u) << run.name;
+    EXPECT_EQ(scratch.provider8().cache_stats().promotions, 1u) << run.name;
+  }
+}
+
+/// The oracle's move count of a first-improvement scan: every candidate of
+/// the neighbors before the witness's, plus the witness's own prefix in
+/// naive scan order (the deletion first under the max deletion clause,
+/// then fresh edges by ascending id).
+std::uint64_t oracle_first_moves(const Graph& g, Vertex v, const RunSpec& run,
+                                 const std::optional<Deviation>& dev) {
+  const Vertex n = g.num_vertices();
+  const std::uint64_t deg = g.degree(v);
+  const std::uint64_t del = run.model == UsageCost::Max && run.include_deletions ? 1 : 0;
+  const std::uint64_t per_edge = del + (n - 1 - deg);
+  if (!dev) return deg * per_edge;
+  std::uint64_t moves = 0;
+  for (const Vertex w : g.neighbors(v)) {
+    if (w != dev->swap.remove_w) {
+      moves += per_edge;
+      continue;
+    }
+    moves += del;
+    if (dev->kind == Deviation::Kind::NonCriticalDelete) return moves;
+    for (Vertex x = 0; x <= dev->swap.add_w; ++x) {
+      if (x != v && !g.has_edge(v, x)) ++moves;
+    }
+    return moves;
+  }
+  ADD_FAILURE() << "witness edge is not incident to v";
+  return 0;
+}
+
+// Engine level: an unbudgeted (adaptive) first_deviation — verdict,
+// witness and moves_checked — equals the oracle and a budgeted engine's,
+// on gnm movers (stop a few rows in), star leaves (sum: read every row, so
+// promote) and the clean torus k = 12 (max: the far filter stops early),
+// at both widths.
+TEST(RowCache, AdaptiveFirstDeviationMatchesOracleAndBudgeted) {
+  struct Case {
+    Graph g;
+    std::string name;
+    std::vector<Vertex> agents;
+  };
+  std::vector<Case> cases;
+  {
+    Xoshiro256ss rng(0xf1257);
+    Graph g = random_connected_gnm(150, 300, rng);
+    std::vector<Vertex> agents(150);
+    std::iota(agents.begin(), agents.end(), Vertex{0});
+    cases.push_back({std::move(g), "gnm150", std::move(agents)});
+  }
+  cases.push_back({star(150), "star150", {1, 2, 3, 75, 148, 149}});
+  cases.push_back({rotated_torus(12).graph(), "torus12", {0, 1, 143, 287}});
+
+  BfsWorkspace bfs;
+  std::uint64_t promotions = 0;
+  for (const Case& c : cases) {
+    const Vertex n = c.g.num_vertices();
+    for (const RunSpec& run : kRuns) {
+      std::vector<std::optional<Deviation>> oracle;
+      for (const Vertex v : c.agents) oracle.push_back(naive_deviation(c.g, v, run, true, bfs));
+      for (const WidthPolicy width : kWidths) {
+        const SwapEngine adaptive(c.g, {.width = width});
+        const SwapEngine budgeted(c.g, {.width = width, .mem_budget = forcing_budget(n)});
+        ASSERT_EQ(adaptive.budget_policy().storage_for(n, adaptive.preferred_width(), true),
+                  RowStorage::Adaptive);
+        ASSERT_EQ(budgeted.budget_policy().storage_for(n, budgeted.preferred_width(), true),
+                  RowStorage::Budgeted);
+        SwapEngine::Scratch as, bs;
+        for (std::size_t i = 0; i < c.agents.size(); ++i) {
+          const Vertex v = c.agents[i];
+          const std::string ctx = c.name + " v=" + std::to_string(v) + " run=" + run.name +
+                                  " width=" + (width == WidthPolicy::ForceU8 ? "u8" : "u16");
+          std::uint64_t adaptive_moves = 0, budget_moves = 0;
+          const auto got =
+              adaptive.first_deviation(v, run.model, as, run.include_deletions, &adaptive_moves);
+          const auto want =
+              budgeted.first_deviation(v, run.model, bs, run.include_deletions, &budget_moves);
+          expect_dev_eq(oracle[i], got, ctx + " adaptive-vs-oracle");
+          expect_dev_eq(want, got, ctx + " adaptive-vs-budgeted");
+          EXPECT_EQ(adaptive_moves, oracle_first_moves(c.g, v, run, oracle[i])) << ctx;
+          EXPECT_EQ(adaptive_moves, budget_moves) << ctx;
+          if (HasFatalFailure()) return;
+        }
+        EXPECT_EQ(bs.row_cache_stats().promotions, 0u) << c.name;
+        promotions += as.row_cache_stats().promotions;
+      }
+    }
+  }
+  EXPECT_GT(promotions, 0u);  // the star leaves' sum scans read every row
+}
+
+// ------------------------------------------------------ dynamics parity
+
+// run_dynamics on the engine tier (n = 600 is above SearchState's cap):
+// the unbudgeted run's first-improvement scans are adaptive, a budget one
+// byte below the u8 slab per lane makes them budgeted; moves, passes,
+// convergence and the final graph must not move. Registered as the
+// first_scan_dynamics CTest entry only (≈20 s: the budgeted sum quiet
+// passes stream every row one traversal at a time).
+TEST(FirstScanDynamics, AdaptiveTrajectoryMatchesBudgeted) {
+  constexpr Vertex n = 600;
+  Xoshiro256ss rng(0x600);
+  const Graph start = random_connected_gnm(n, 2 * n, rng);
+  ASSERT_FALSE(search_state_enabled(start));
+  const ResourceConfig budgeted{.mem_budget = ThreadPool::global().size() * (n * n - 1ull)};
+  for (const DistWidth w : {DistWidth::U8, DistWidth::U16}) {
+    EXPECT_EQ(WidthAndBudgetPolicy{ResourceConfig{}}.storage_for(n, w, /*stop_at_first=*/true),
+              RowStorage::Adaptive);
+    EXPECT_EQ(WidthAndBudgetPolicy{budgeted}.storage_for(n, w, /*stop_at_first=*/true),
+              RowStorage::Budgeted);
+  }
+  for (const RunSpec& run : kRuns) {
+    DynamicsConfig config;
+    config.cost = run.model;
+    config.allow_neutral_deletions = run.include_deletions;
+    const DynamicsResult adaptive = run_dynamics(start, config);
+    config.resources = budgeted;
+    const DynamicsResult streamed = run_dynamics(start, config);
+    EXPECT_TRUE(adaptive.converged) << run.name;
+    EXPECT_GT(adaptive.moves, 0u) << run.name;
+    EXPECT_EQ(streamed.moves, adaptive.moves) << run.name;
+    EXPECT_EQ(streamed.passes, adaptive.passes) << run.name;
+    EXPECT_EQ(streamed.converged, adaptive.converged) << run.name;
+    EXPECT_EQ(graph_fingerprint(streamed.graph), graph_fingerprint(adaptive.graph)) << run.name;
+    EXPECT_EQ(streamed.graph.edges(), adaptive.graph.edges()) << run.name;
   }
 }
 

@@ -285,12 +285,13 @@ TEST(EngineRouting, DeviationsAtLargeNMatchTheOracle) {
                         "routed first max+del");
   // The oracle checks one candidate per (incident edge, non-neighbor) pair,
   // plus one deletion per incident edge under the deletion clause.
-  // Above kFirstScanDenseMaxVertices the first-improvement scans above
-  // streamed their rows; the full scans ran dense.
+  // The first-improvement scans above streamed their rows and promoted
+  // themselves to the slab if they read more than ⌈n/64⌉; the full scans
+  // ran dense.
   const SwapEngine engine(g);
   const WidthAndBudgetPolicy& policy = engine.budget_policy();
   EXPECT_EQ(policy.storage_for(n, engine.preferred_width(), /*stop_at_first=*/true),
-            RowStorage::Budgeted);
+            RowStorage::Adaptive);
   EXPECT_EQ(policy.storage_for(n, engine.preferred_width()), RowStorage::Dense);
   SwapEngine::Scratch scratch;
   std::uint64_t moves = 0;
