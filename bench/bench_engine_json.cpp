@@ -44,6 +44,13 @@
 // streamed (row cache) and adaptive (stream, then promote) storage, with
 // the adaptive run's misses and promotions.
 //
+// A "masked_apsp" section prices the dense fill of G − v: per agent, the
+// batched masked traversal (csr_apsp_capped with v masked) against the
+// derivation from the snapshot's shared unmasked APSP
+// (csr_apsp_capped_without, the base built once and timed separately), on
+// gnm, the rotated torus, a random tree, a star and a cycle. The two slabs
+// and saturation verdicts are asserted identical for every timed agent.
+//
 // A second "kernels" section microbenchmarks the dispatched SIMD kernels
 // (util/simd.hpp) directly: every simd::Kernels entry at both widths is
 // timed at n = 1024 once with the dispatch pinned to scalar and once at the
@@ -74,6 +81,7 @@
 #include "gen/classic.hpp"
 #include "gen/paper.hpp"
 #include "gen/random.hpp"
+#include "graph/bfs_batch.hpp"
 #include "graph/dist_width.hpp"
 #include "graph/metrics.hpp"
 #include "util/rng.hpp"
@@ -567,6 +575,107 @@ std::vector<FirstScanRow> measure_first_scans_all(Vertex max_n) {
 }
 
 // ---------------------------------------------------------------------------
+// Masked APSP: traversing G − v vs deriving it from the shared base.
+
+struct MaskedApspRow {
+  std::string instance;
+  Vertex n = 0;
+  std::size_t m = 0;
+  std::string width;
+  std::uint64_t agents = 0;
+  double base_seconds = 0.0;      ///< the one unmasked APSP (once per snapshot)
+  double traverse_seconds = 0.0;  ///< per agent
+  double derive_seconds = 0.0;    ///< per agent
+  double repaired_pairs = 0.0;    ///< per agent: pairs whose distance v's removal changes
+
+  [[nodiscard]] double speedup() const { return traverse_seconds / derive_seconds; }
+};
+
+/// Times 16 evenly spaced agents (agent 0 included) at width Dist; exits
+/// on any slab or verdict mismatch.
+template <typename Dist>
+MaskedApspRow measure_masked_apsp_t(std::string instance, const Graph& g, Dist inf, Dist cap) {
+  const CsrGraph csr(g);
+  const Vertex n = csr.num_vertices();
+  const std::size_t cells = static_cast<std::size_t>(n) * n;
+  BatchBfsWorkspace ws;
+  std::vector<Dist> base(cells), traversed(cells), derived(cells);
+  MaskedApspRow row;
+  row.instance = std::move(instance);
+  row.n = n;
+  row.m = g.num_edges();
+  row.width = sizeof(Dist) == 1 ? "u8" : "u16";
+  bool base_fits = false;
+  row.base_seconds = time_seconds([&] {
+    base_fits = csr_apsp_capped<Dist>(csr, MaskedEdge{}, base.data(), ws, kNoVertex, inf, cap);
+  });
+  if (!base_fits) {
+    std::cerr << "FATAL: masked_apsp base of " << row.instance << " saturates " << row.width
+              << "\n";
+    std::exit(1);
+  }
+  constexpr Vertex kAgents = 16;
+  for (Vertex i = 0; i < kAgents; ++i) {
+    const Vertex v = static_cast<Vertex>(std::uint64_t{i} * n / kAgents);
+    bool want = false, got = false;
+    std::uint64_t repaired = 0;
+    row.traverse_seconds += time_seconds([&] {
+      want = csr_apsp_capped<Dist>(csr, MaskedEdge{}, traversed.data(), ws, v, inf, cap);
+    });
+    row.derive_seconds += time_seconds([&] {
+      got = csr_apsp_capped_without<Dist>(csr, base.data(), v, derived.data(), ws, inf, cap,
+                                          &repaired);
+    });
+    row.repaired_pairs += static_cast<double>(repaired);
+    if (want != got || (want && traversed != derived)) {
+      std::cerr << "FATAL: masked_apsp derived slab differs from the traversal on "
+                << row.instance << " v=" << v << "\n";
+      std::exit(1);
+    }
+  }
+  row.agents = kAgents;
+  row.traverse_seconds /= kAgents;
+  row.derive_seconds /= kAgents;
+  row.repaired_pairs /= kAgents;
+  return row;
+}
+
+MaskedApspRow measure_masked_apsp(std::string instance, const Graph& g, DistWidth w) {
+  if (w == DistWidth::U8) {
+    return measure_masked_apsp_t<std::uint8_t>(std::move(instance), g, kSearchInf8,
+                                               kMaxFiniteFor<std::uint8_t>);
+  }
+  return measure_masked_apsp_t<std::uint16_t>(std::move(instance), g, kInfDist16,
+                                              std::uint16_t{kInfDist16 - 1});
+}
+
+std::vector<MaskedApspRow> measure_masked_apsp_all(Vertex max_n) {
+  std::vector<MaskedApspRow> rows;
+  for (const Vertex n : {Vertex{512}, Vertex{1024}, Vertex{2048}}) {
+    if (n > 2 * max_n) continue;
+    Xoshiro256ss rng(0x3A5C ^ n);
+    rows.push_back(measure_masked_apsp("gnm", random_connected_gnm(n, 2 * n, rng), DistWidth::U8));
+  }
+  if (max_n >= 512) {
+    rows.push_back(measure_masked_apsp("torus_k16", rotated_torus(16).graph(), DistWidth::U8));
+  }
+  if (max_n >= 1024) {
+    rows.push_back(measure_masked_apsp("torus_k32", rotated_torus(32).graph(), DistWidth::U8));
+    Xoshiro256ss rng(0x7EE);
+    rows.push_back(measure_masked_apsp("tree", random_tree(1024, rng), DistWidth::U16));
+    rows.push_back(measure_masked_apsp("cycle", cycle(1024), DistWidth::U16));
+  }
+  if (max_n >= 512) rows.push_back(measure_masked_apsp("star", star(512), DistWidth::U8));
+  for (const MaskedApspRow& r : rows) {
+    std::cout << "masked_apsp " << r.instance << " n=" << r.n << " width=" << r.width
+              << " base=" << r.base_seconds << "s traverse=" << r.traverse_seconds
+              << "s/agent derive=" << r.derive_seconds << "s/agent speedup=" << r.speedup()
+              << "x repaired_pairs=" << r.repaired_pairs << "\n";
+  }
+  return rows;
+}
+
+// ---------------------------------------------------------------------------
 // Kernel microbenchmarks: scalar vs the startup-active dispatch level.
 
 struct KernelRow {
@@ -851,6 +960,7 @@ int main(int argc, char** argv) {
   const std::vector<TreeRow> tree_rows = measure_tree_game(max_n);
   const std::vector<RowCacheRow> row_cache_rows = measure_row_cache_all(max_n);
   const std::vector<FirstScanRow> first_scan_rows = measure_first_scans_all(max_n);
+  const std::vector<MaskedApspRow> masked_apsp_rows = measure_masked_apsp_all(max_n);
 
   const std::vector<KernelRow> kernel_rows = measure_all_kernels();
   for (const KernelRow& k : kernel_rows) {
@@ -941,6 +1051,19 @@ int main(int argc, char** argv) {
         << ", \"adaptive_misses\": " << r.adaptive_stats.misses
         << ", \"adaptive_promotions\": " << r.adaptive_stats.promotions << "}"
         << (i + 1 < first_scan_rows.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n";
+  out << "  \"masked_apsp\": [\n";
+  for (std::size_t i = 0; i < masked_apsp_rows.size(); ++i) {
+    const MaskedApspRow& r = masked_apsp_rows[i];
+    out << "    {\"instance\": \"" << r.instance << "\", \"n\": " << r.n << ", \"m\": " << r.m
+        << ", \"width\": \"" << r.width << "\", \"agents\": " << r.agents
+        << ", \"base_seconds\": " << r.base_seconds
+        << ", \"traverse_seconds_per_agent\": " << r.traverse_seconds
+        << ", \"derive_seconds_per_agent\": " << r.derive_seconds
+        << ", \"repaired_pairs_per_agent\": " << r.repaired_pairs
+        << ", \"speedup\": " << r.speedup() << "}"
+        << (i + 1 < masked_apsp_rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
   out << "  \"kernels\": [\n";

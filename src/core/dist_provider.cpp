@@ -58,6 +58,7 @@ WidthAndBudgetPolicy::WidthAndBudgetPolicy(const ResourceConfig& config, unsigne
     : width_(config.width), total_budget_(resolved_mem_budget(config)) {
   if (lanes == 0) lanes = ThreadPool::global().size();
   if (lanes == 0) lanes = 1;
+  lanes_ = lanes;
   // Never let integer division alias a tiny share with "unlimited" (0); a
   // 1-byte share fails loudly in RowCache::configure instead.
   lane_budget_ = total_budget_ == 0 ? 0 : std::max<std::uint64_t>(1, total_budget_ / lanes);
@@ -101,15 +102,38 @@ bool WidthAndBudgetPolicy::fits(Vertex n, DistWidth w, std::uint64_t rows) const
   return bytes <= lane_budget_;
 }
 
+bool WidthAndBudgetPolicy::shared_slab_fits(Vertex n, DistWidth w) const noexcept {
+  if (n >= kInfDist16) return false;
+  if (total_budget_ == 0) return true;
+  const std::uint64_t slab = std::uint64_t{n} * n * (w == DistWidth::U8 ? 1 : 2);
+  return (std::uint64_t{lanes_} + 1) * slab <= total_budget_;
+}
+
+template <typename Dist>
+const Dist* SharedApsp<Dist>::get(const CsrGraph& csr, Dist inf_value, Dist max_finite,
+                                  BatchBfsWorkspace& ws) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (state_ == kUnbuilt) {
+    const Vertex n = csr.num_vertices();
+    matrix_.resize(static_cast<std::size_t>(n) * n);
+    state_ = csr_apsp_capped<Dist>(csr, MaskedEdge{}, matrix_.data(), ws, kNoVertex, inf_value,
+                                   max_finite)
+                 ? kReady
+                 : kSaturated;
+  }
+  return state_ == kReady ? matrix_.data() : nullptr;
+}
+
 template <typename Dist>
 bool DistanceProvider<Dist>::begin(const CsrGraph& csr, Vertex masked_vertex, Dist inf_value,
                                    Dist max_finite, RowStorage storage,
                                    std::uint64_t budget_bytes, AlignedVec<Dist>& dense_slab,
-                                   BatchBfsWorkspace& ws) {
+                                   BatchBfsWorkspace& ws, SharedApsp<Dist>* shared) {
   storage_ = storage;
   csr_ = &csr;
   n_ = csr.num_vertices();
   slab_ = &dense_slab;
+  shared_ = shared;
   masked_vertex_ = masked_vertex;
   inf_value_ = inf_value;
   max_finite_ = max_finite;
@@ -142,6 +166,15 @@ bool DistanceProvider<Dist>::fill_slab(BatchBfsWorkspace& ws) {
   const std::size_t cells = static_cast<std::size_t>(n_) * n_;
   if (slab_->size() < cells) slab_->resize(cells);
   dense_ = slab_->data();
+  // The shared matrix is the snapshot's, built at this context's encoding:
+  // every caller of one SharedApsp<Dist> passes the engine's inf / cap.
+  if (const Dist* full = shared_ != nullptr ? shared_->get(*csr_, inf_value_, max_finite_, ws)
+                                            : nullptr) {
+    ++slabs_derived_;
+    return csr_apsp_capped_without<Dist>(*csr_, full, masked_vertex_, slab_->data(), ws,
+                                         inf_value_, max_finite_);
+  }
+  ++slabs_traversed_;
   return csr_apsp_capped<Dist>(*csr_, MaskedEdge{}, slab_->data(), ws, masked_vertex_, inf_value_,
                                max_finite_);
 }
@@ -195,6 +228,8 @@ RowCache<Dist>& DistanceProvider<Dist>::cache() {
   return cache_;
 }
 
+template class SharedApsp<std::uint8_t>;
+template class SharedApsp<std::uint16_t>;
 template class DistanceProvider<std::uint8_t>;
 template class DistanceProvider<std::uint16_t>;
 

@@ -28,14 +28,17 @@
 // DistanceProvider<Dist> is the row source of the engine's one scan body
 // (SwapEngine::scan_agent_t): the storage mode is the only thing dense,
 // budgeted and adaptive scans differ in. Dense mode materializes the full
-// masked matrix up front by one batched APSP (prefetch is a no-op and row()
-// points into the slab), budgeted mode opens a row-cache context and serves
-// rows lazily under the budget, and adaptive mode starts budgeted and turns
-// dense once the scan has read as many rows as the batched APSP runs
-// 64-source sweeps.
+// masked matrix up front (prefetch is a no-op and row() points into the
+// slab): derived by repair from the snapshot's one shared unmasked APSP
+// (SharedApsp, built lazily by the first dense fill) when the engine offers
+// it, by one batched masked APSP otherwise. Budgeted mode opens a row-cache
+// context and serves rows lazily under the budget, and adaptive mode starts
+// budgeted and turns dense once the scan has read as many rows as the
+// batched APSP runs 64-source sweeps.
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 
 #include "graph/bfs_batch.hpp"
@@ -120,6 +123,9 @@ class WidthAndBudgetPolicy {
   /// True when a dense n×n scan slab at width `w` fits the per-lane budget
   /// (and the dense scan's 16-bit encoding limit n < 65535 holds).
   [[nodiscard]] bool dense_fits(Vertex n, DistWidth w) const noexcept { return fits(n, w, n); }
+  /// True when the total budget holds one more n×n slab at width `w` (the
+  /// engine's shared base APSP) beside every lane's own dense slab.
+  [[nodiscard]] bool shared_slab_fits(Vertex n, DistWidth w) const noexcept;
   /// A stop-at-first scan: adaptive when the slab plus the rows read before
   /// promotion fit, else dense when the slab alone fits. A full scan: dense
   /// when the slab fits. Otherwise budgeted, unbounded when unbudgeted.
@@ -137,12 +143,45 @@ class WidthAndBudgetPolicy {
   WidthPolicy width_ = WidthPolicy::Auto;
   std::uint64_t total_budget_ = 0;
   std::uint64_t lane_budget_ = 0;
+  unsigned lanes_ = 1;
 };
+
+/// The unmasked capped APSP of one snapshot at one width, shared by every
+/// scan lane of an engine: built by the first dense fill that asks for it
+/// (the others wait on the mutex), and dropped by reset() when the
+/// snapshot changes. A dense fill derives G − v's matrix from it
+/// (csr_apsp_capped_without) instead of traversing G − v.
+template <typename Dist>
+class SharedApsp {
+ public:
+  /// The matrix of `csr` at (inf_value, max_finite), built on first use;
+  /// nullptr when it saturates the width (then every fill traverses). The
+  /// matrix is never written again until reset(), so the pointer may be
+  /// read without the lock.
+  [[nodiscard]] const Dist* get(const CsrGraph& csr, Dist inf_value, Dist max_finite,
+                                BatchBfsWorkspace& ws);
+  /// Forgets the matrix (its storage is kept for the next snapshot). Must
+  /// not run concurrently with get() or with readers of its result.
+  void reset() noexcept {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    state_ = kUnbuilt;
+  }
+
+ private:
+  enum : std::uint8_t { kUnbuilt, kReady, kSaturated };
+  std::mutex mutex_;  // guards state_ and matrix_
+  std::uint8_t state_ = kUnbuilt;
+  AlignedVec<Dist> matrix_;
+};
+
+extern template class SharedApsp<std::uint8_t>;
+extern template class SharedApsp<std::uint16_t>;
 
 /// Uniform row source of one agent scan at storage width `Dist`.
 ///
 /// Dense mode: begin() materializes the full masked matrix into the
-/// caller's slab by one capped APSP. Budgeted mode: begin() opens a
+/// caller's slab — derived from `shared` when one is passed and it fits the
+/// width, else by one capped masked APSP. Budgeted mode: begin() opens a
 /// RowCache context; rows materialize on the first touch and live under the
 /// byte budget with block-LRU eviction. Adaptive mode: begin() opens a
 /// RowCache context (its budget is what the slab leaves of the lane share)
@@ -162,10 +201,12 @@ class DistanceProvider {
   /// Prepares a scan context over `csr` with `masked_vertex` removed.
   /// Returns false on width saturation (dense mode only — the row-cache
   /// modes saturate lazily, at the failing row() / prefetch()). The slab
-  /// must outlive the context.
+  /// and `shared` (the snapshot's base APSP, or nullptr to traverse every
+  /// dense fill) must outlive the context.
   [[nodiscard]] bool begin(const CsrGraph& csr, Vertex masked_vertex, Dist inf_value,
                            Dist max_finite, RowStorage storage, std::uint64_t budget_bytes,
-                           AlignedVec<Dist>& dense_slab, BatchBfsWorkspace& ws);
+                           AlignedVec<Dist>& dense_slab, BatchBfsWorkspace& ws,
+                           SharedApsp<Dist>* shared = nullptr);
 
   /// The mode rows are served in now (an adaptive context reads Dense once
   /// it has promoted).
@@ -185,16 +226,19 @@ class DistanceProvider {
   /// not dense) — residency introspection for the differential suite.
   [[nodiscard]] const RowCache<Dist>& cache() const;
   [[nodiscard]] RowCache<Dist>& cache();
-  /// Cache counters plus this provider's promotions, regardless of mode
-  /// (all-zero if no row-cache context ever opened).
+  /// Cache counters plus this provider's promotions and dense-slab fills,
+  /// regardless of mode (all-zero if no context ever opened).
   [[nodiscard]] RowCacheStats cache_stats() const noexcept {
     RowCacheStats stats = cache_.stats();
     stats.promotions = promotions_;
+    stats.slabs_derived = slabs_derived_;
+    stats.slabs_traversed = slabs_traversed_;
     return stats;
   }
 
  private:
-  /// Runs the one batched masked APSP of the context into the slab and
+  /// Fills the slab with the context's masked matrix (derived from the
+  /// shared APSP when it is usable, else one batched masked APSP) and
   /// switches to dense mode. False on width saturation.
   [[nodiscard]] bool fill_slab(BatchBfsWorkspace& ws);
   /// Adaptive mode: promotes when `missing` more misses would take the
@@ -205,6 +249,7 @@ class DistanceProvider {
   const CsrGraph* csr_ = nullptr;
   const Dist* dense_ = nullptr;
   AlignedVec<Dist>* slab_ = nullptr;
+  SharedApsp<Dist>* shared_ = nullptr;
   Vertex masked_vertex_ = kNoVertex;
   Dist inf_value_ = 0;
   Dist max_finite_ = 0;
@@ -214,6 +259,8 @@ class DistanceProvider {
   std::uint64_t cache_budget_ = 0;
   Vertex cache_n_ = 0;
   std::uint64_t promotions_ = 0;
+  std::uint64_t slabs_derived_ = 0;
+  std::uint64_t slabs_traversed_ = 0;
 };
 
 extern template class DistanceProvider<std::uint8_t>;

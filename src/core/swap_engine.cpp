@@ -135,6 +135,8 @@ RowCacheStats SwapEngine::Scratch::row_cache_stats() const {
   out.contexts = a.contexts + b.contexts;
   out.peak_bytes = a.peak_bytes + b.peak_bytes;
   out.promotions = a.promotions + b.promotions;
+  out.slabs_derived = a.slabs_derived + b.slabs_derived;
+  out.slabs_traversed = a.slabs_traversed + b.slabs_traversed;
   return out;
 }
 
@@ -161,6 +163,8 @@ bool dense_paths_use_oracle(const Graph& g) {
 
 void SwapEngine::rebuild(const Graph& g) {
   csr_.rebuild(g);
+  shared8_.reset();
+  shared16_.reset();
   width_fallbacks_.store(0, std::memory_order_relaxed);
   prefer_u8_ = false;
   const Vertex n = csr_.num_vertices();
@@ -198,6 +202,16 @@ std::uint64_t SwapEngine::agent_cost(Vertex v, UsageCost model, Scratch& s) cons
 }
 
 template <typename Dist>
+SharedApsp<Dist>* SwapEngine::shared_apsp() const {
+  if (!budget_policy_.shared_slab_fits(csr_.num_vertices(), width_of<Dist>())) return nullptr;
+  if constexpr (std::is_same_v<Dist, std::uint8_t>) {
+    return &shared8_;
+  } else {
+    return &shared16_;
+  }
+}
+
+template <typename Dist>
 bool SwapEngine::neighbor_fold_t(Vertex v, RowStorage storage, Scratch& s) const {
   constexpr Dist kInf = engine_inf<Dist>();
   const simd::Kernels<Dist>& kern = simd::kernels<Dist>();
@@ -211,14 +225,15 @@ bool SwapEngine::neighbor_fold_t(Vertex v, RowStorage storage, Scratch& s) const
   for (const Vertex w : nbrs) s.is_nbr_[w] = 1;
 
   // Every row below is a row of G − v, the source-removal identity's
-  // traversal bill. Dense storage pays it up front with one batched masked
-  // APSP into the scratch slab; budgeted storage opens a row-cache context
-  // and pays per row on first touch; adaptive storage pays per row until
-  // the provider promotes itself to the slab.
+  // traversal bill. Dense storage pays it up front into the scratch slab,
+  // repairing the snapshot's shared APSP where v's removal changes it;
+  // budgeted storage opens a row-cache context and pays per row on first
+  // touch; adaptive storage pays per row until the provider promotes
+  // itself to the slab.
   auto& rows = s.rows<Dist>();
   auto& provider = rows.provider;
   if (!provider.begin(csr_, /*masked_vertex=*/v, kInf, engine_max_finite<Dist>(), storage,
-                      budget_policy_.lane_budget(), rows.apsp, s.bfs_)) {
+                      budget_policy_.lane_budget(), rows.apsp, s.bfs_, shared_apsp<Dist>())) {
     return false;
   }
 
@@ -483,14 +498,19 @@ EquilibriumCertificate SwapEngine::certify(UsageCost model, bool include_deletio
 // --------------------------------------------------- k-move deviation paths
 
 template <typename Dist>
-bool SwapEngine::full_apsp_t(Scratch& s) const {
+const Dist* SwapEngine::full_apsp_t(Scratch& s) const {
   const Vertex n = csr_.num_vertices();
   require_dense(width_of<Dist>());
+  if (SharedApsp<Dist>* shared = shared_apsp<Dist>()) {
+    return shared->get(csr_, engine_inf<Dist>(), engine_max_finite<Dist>(), s.bfs_);
+  }
   auto& rows = s.rows<Dist>();
   rows.apsp.resize(static_cast<std::size_t>(n) * n);
   return csr_apsp_capped<Dist>(csr_, MaskedEdge{}, rows.apsp.data(), s.bfs_,
                                /*masked_vertex=*/kNoVertex, engine_inf<Dist>(),
-                               engine_max_finite<Dist>());
+                               engine_max_finite<Dist>())
+             ? rows.apsp.data()
+             : nullptr;
 }
 
 template <typename Dist>
@@ -542,8 +562,9 @@ KStabilityReport SwapEngine::insertion_stability_at(Vertex v, Vertex k, Scratch&
   KStabilityReport out;
   (void)at_preferred_width([&](auto tag) {
     using Dist = decltype(tag);
-    if (!full_apsp_t<Dist>(s)) return false;
-    insertion_report_t<Dist>(s.rows<Dist>().apsp.data(), v, k, k, s, out, nullptr);
+    const Dist* apsp = full_apsp_t<Dist>(s);
+    if (apsp == nullptr) return false;
+    insertion_report_t<Dist>(apsp, v, k, k, s, out, nullptr);
     return true;
   });
   return out;
@@ -555,8 +576,9 @@ Vertex SwapEngine::max_tolerated_insertions(Vertex v, Vertex k_max, Scratch& s) 
   Vertex tolerated = k_max;
   (void)at_preferred_width([&](auto tag) {
     using Dist = decltype(tag);
-    if (!full_apsp_t<Dist>(s)) return false;
-    insertion_report_t<Dist>(s.rows<Dist>().apsp.data(), v, 1, k_max, s, out, &tolerated);
+    const Dist* apsp = full_apsp_t<Dist>(s);
+    if (apsp == nullptr) return false;
+    insertion_report_t<Dist>(apsp, v, 1, k_max, s, out, &tolerated);
     return true;
   });
   return tolerated;
@@ -611,8 +633,9 @@ KStabilityReport SwapEngine::insertion_stability(Vertex k) const {
   KStabilityReport out;
   (void)at_preferred_width([&](auto tag) {
     using Dist = decltype(tag);
-    if (!full_apsp_t<Dist>(s)) return false;
-    out = insertion_sweep_t<Dist>(s.rows<Dist>().apsp.data(), k);
+    const Dist* apsp = full_apsp_t<Dist>(s);
+    if (apsp == nullptr) return false;
+    out = insertion_sweep_t<Dist>(apsp, k);
     return true;
   });
   return out;
@@ -638,14 +661,14 @@ bool SwapEngine::swap_stability_t(Vertex v, Vertex k, std::uint64_t old_ecc, Scr
   const Vertex deg = static_cast<Vertex>(nbrs.size());
   BNCG_REQUIRE(deg < 32, "swap-stability subset enumeration requires deg(v) < 32");
 
-  // One masked APSP of G − v serves every deletion subset D: (G − D) − v is
-  // G − v, so each subset only changes WHICH neighbor rows fold into v's
+  // One masked matrix of G − v serves every deletion subset D: (G − D) − v
+  // is G − v, so each subset only changes WHICH neighbor rows fold into v's
   // post-deletion profile, never the rows themselves.
   require_dense(width_of<Dist>());
   auto& rows = s.rows<Dist>();
-  rows.apsp.resize(static_cast<std::size_t>(n) * n);
-  if (!csr_apsp_capped<Dist>(csr_, MaskedEdge{}, rows.apsp.data(), s.bfs_,
-                             /*masked_vertex=*/v, kInf, engine_max_finite<Dist>())) {
+  if (!rows.provider.begin(csr_, /*masked_vertex=*/v, kInf, engine_max_finite<Dist>(),
+                           RowStorage::Dense, budget_policy_.lane_budget(), rows.apsp, s.bfs_,
+                           shared_apsp<Dist>())) {
     return false;
   }
   rows.arow.resize(n);
@@ -707,7 +730,7 @@ bool SwapEngine::alpha_scan_t(Vertex v, const std::vector<std::uint8_t>& owned,
   s.alpha_.clear();
 
   // Unlike the basic-game scan, the α-game has ADD moves, so even an
-  // isolated agent runs the masked APSP: an added edge v–w gives the profile
+  // isolated agent fills the masked matrix: an added edge v–w gives the profile
   // 1 + min(min1, c_w) (the source-removal identity over N(v) ∪ {w}). The
   // α paths are dense-only, so every row below reads the slab directly.
   require_dense(width_of<Dist>());

@@ -12,9 +12,12 @@
 //     incident to v, and every post-move path from v starts with one of
 //     them, so for any new neighborhood N' of v:
 //       d'(v,u) = 1 + min_{z ∈ N'} d_{G−v}(z, u)        (u ≠ v).
-//     One (batched, bit-parallel) APSP of the *vertex-masked* snapshot G−v
-//     therefore answers every (removed edge w, candidate w₂) pair of the
-//     agent. With c_z = d_{G−v}(z,·) and M^w_u = min_{z ∈ N(v)∖{w}} c_{z,u}
+//     The all-pairs distances of the *vertex-masked* snapshot G−v therefore
+//     answer every (removed edge w, candidate w₂) pair of the agent. They
+//     are not traversed per agent: one (batched, bit-parallel) APSP of G
+//     itself is shared by every agent of the snapshot, and G−v's matrix is
+//     that copy with v blanked and only the pairs whose every shortest path
+//     runs through v repaired (csr_apsp_capped_without). With c_z = d_{G−v}(z,·) and M^w_u = min_{z ∈ N(v)∖{w}} c_{z,u}
 //     (built in O(n) per w from elementwise min/argmin/second-min over the
 //     neighbor rows):
 //       sum model: cost'(v) = (n−1) + Σ_u min(M^w_u, c_{w₂,u}),
@@ -31,7 +34,7 @@
 //
 // There is one scan body. Its rows come from a DistanceProvider
 // (core/dist_provider.hpp) whose storage mode the WidthAndBudgetPolicy
-// picks: one dense masked APSP per agent, a budgeted row cache, or — for
+// picks: one dense masked matrix per agent, a budgeted row cache, or — for
 // first-improvement scans — a row cache that promotes itself to the dense
 // slab once the scan has missed ⌈n/64⌉ rows without stopping. The mode
 // changes speed and memory, never results.
@@ -119,8 +122,8 @@ struct AlphaCandidate {
 /// Delta-evaluating swap scanner over an immutable CSR snapshot.
 class SwapEngine {
  public:
-  /// Per-thread scratch: the masked-APSP matrix (n×n, in the width the scan
-  /// runs at), the batched BFS workspace, and small per-agent marks.
+  /// Per-thread scratch: the masked matrix of G − v (n×n, in the width the
+  /// scan runs at), the batched BFS workspace, and small per-agent marks.
   /// Allocated once, reused for every scan; one instance per thread. Only
   /// the width actually exercised allocates its matrix, so u8-preferring
   /// engines that never fall back pay no u16 slab.
@@ -138,8 +141,8 @@ class SwapEngine {
     [[nodiscard]] const DistanceProvider<std::uint16_t>& provider16() const noexcept {
       return rows16_.provider;
     }
-    /// Combined row-cache counters and promotions of both widths (all-zero
-    /// while every scan ran dense).
+    /// Combined row-cache counters, promotions and dense-slab fills
+    /// (derived vs traversed) of both widths.
     [[nodiscard]] RowCacheStats row_cache_stats() const;
 
    private:
@@ -248,7 +251,7 @@ class SwapEngine {
   // the "does some ≤ k-insertion lower ecc(v)" question a set-cover instance
   // whose candidate masks the engine scores directly from rows it already
   // holds (collect_below over the symmetric APSP rows — DESIGN.md §14); the
-  // k-swap variant folds kept-neighbor rows of the one masked APSP of G − v
+  // k-swap variant folds kept-neighbor rows of the one masked matrix of G − v
   // with the k-way min-fold kernel, since (G − D) − v = G − v for every
   // deletion subset D at v. All results — verdicts AND witnesses — are
   // byte-identical to the bncg::naive oracles in core/kstability.
@@ -271,7 +274,7 @@ class SwapEngine {
   [[nodiscard]] KStabilityReport swap_stability_at(Vertex v, Vertex k, Scratch& scratch) const;
 
   /// α-game usage sweep for agent v: every add/delete/swap usage from one
-  /// masked APSP, in the naive ClassicGame enumeration order. `owned[w]`
+  /// masked matrix of G − v, in the naive ClassicGame enumeration order. `owned[w]`
   /// must say whether edge v–w is bought by v (deletes/swaps enumerate owned
   /// neighbors only). The returned reference aliases `scratch`.
   [[nodiscard]] const std::vector<AlphaCandidate>& alpha_scan(
@@ -296,10 +299,10 @@ class SwapEngine {
   [[nodiscard]] bool neighbor_fold_t(Vertex v, RowStorage storage, Scratch& scratch) const;
 
   /// The one width-typed basic-game scan body, over rows from the
-  /// DistanceProvider in the `storage` mode the policy chose (dense: one
-  /// batched masked APSP into the slab; budgeted: the row cache under the
-  /// per-lane byte budget; adaptive: the row cache until ⌈n/64⌉ misses,
-  /// then the slab). The agent's current cost derives from the
+  /// DistanceProvider in the `storage` mode the policy chose (dense: G − v's
+  /// matrix in the slab, repaired from the shared APSP; budgeted: the row
+  /// cache under the per-lane byte budget; adaptive: the row cache until
+  /// ⌈n/64⌉ misses, then the slab). The agent's current cost derives from the
   /// neighbor min-fold; the max model streams its far filter over far-vertex
   /// rows (by symmetry d(f, w₂) = d(w₂, f)), largest M^w first, so only
   /// proven improvers are combined; the sum model prunes candidates whose
@@ -318,10 +321,17 @@ class SwapEngine {
   /// budget_policy_.dense_fits(n, w).
   void require_dense(DistWidth w) const;
 
-  /// Unmasked capped APSP of the snapshot into scratch (shared by the
-  /// insertion paths, which need full-graph rows). False on u8 saturation.
+  /// The snapshot's shared base APSP at width Dist, or nullptr when the
+  /// total budget cannot hold it beside every lane's slab (then dense
+  /// fills traverse G − v instead of deriving it).
   template <typename Dist>
-  [[nodiscard]] bool full_apsp_t(Scratch& scratch) const;
+  [[nodiscard]] SharedApsp<Dist>* shared_apsp() const;
+
+  /// Unmasked capped APSP of the snapshot for the insertion paths, which
+  /// need full-graph rows: the shared base, or (when the budget cannot hold
+  /// it) a traversal into the scratch slab. nullptr on u8 saturation.
+  template <typename Dist>
+  [[nodiscard]] const Dist* full_apsp_t(Scratch& scratch) const;
 
   /// Far set + dedup'd coverage sets of agent v over symmetric full-graph
   /// rows, then cover_select at each budget in [k_lo, k_hi]; fills `out`
@@ -349,6 +359,10 @@ class SwapEngine {
   /// Shared across the const certify() path's threads; relaxed is enough
   /// for a monotone counter.
   mutable std::atomic<std::uint64_t> width_fallbacks_{0};
+  /// The snapshot's unmasked APSP per width, built by the first scan that
+  /// needs a dense slab (never at construction) and cleared by rebuild().
+  mutable SharedApsp<std::uint8_t> shared8_;
+  mutable SharedApsp<std::uint16_t> shared16_;
   Scratch scratch_;  // for the convenience overloads
 };
 

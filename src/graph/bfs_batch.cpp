@@ -295,6 +295,126 @@ template <typename Dist>
   return true;
 }
 
+/// Repairs row x of the G − v matrix in place. `base` is row x of the
+/// unmasked matrix (d(x, ·) in G), `row` its copy with v already blanked,
+/// and `dv` = d(x, v), finite. A vertex u is *dominated* when every shortest
+/// x–u path runs through v, i.e. when each of its BFS parents (neighbors one
+/// level closer to x) is v or dominated; exactly the dominated entries
+/// change. Level-order induction gives the rows that need any work: the
+/// shallowest dominated vertex has only v as parent, so a row is affected
+/// iff some child of v has v as its unique parent — the first loop's test.
+/// Stamps are per-row epochs (3·epoch = examined, +1 dominated, +2
+/// settled), so nothing is cleared between rows. Adds the number of
+/// dominated vertices to `*repaired` when given.
+template <typename Dist>
+[[nodiscard]] bool repair_row(const CsrGraph& g, const Dist* base, Vertex v, Vertex dv, Dist* row,
+                              BatchBfsWorkspace& ws, std::uint32_t& epoch, Dist inf_value,
+                              Dist max_finite, std::uint64_t* repaired) {
+  auto& stamp = BatchBfsAccess::stamp(ws);
+  auto& dominated = BatchBfsAccess::queue(ws);
+  dominated.clear();
+  std::uint32_t examined = 0;
+  for (const Vertex c : g.neighbors(v)) {
+    if (Vertex{base[c]} != dv + 1) continue;  // not a BFS child of v
+    bool other_parent = false;
+    for (const Vertex p : g.neighbors(c)) {
+      if (p != v && Vertex{base[p]} == dv) {
+        other_parent = true;
+        break;
+      }
+    }
+    if (other_parent) continue;
+    if (dominated.empty()) examined = 3 * ++epoch;
+    stamp[c] = examined + 1;
+    dominated.push_back(c);
+  }
+  if (dominated.empty()) return true;  // no distance from x changes
+  const std::uint32_t is_dominated = examined + 1;
+  const std::uint32_t settled = examined + 2;
+
+  // Level-order descent: the FIFO pops level L before level L + 1, so when
+  // a child t of a dominated u is examined, every dominated vertex on t's
+  // parent level is already stamped, and when u itself is popped the status
+  // of every vertex on its own level is final. Such a t sits at level
+  // dv + 2 or deeper, so none of its parents is v. The same neighbor loop
+  // seeds u from its undominated neighbors, which sit on u's level (seed
+  // level + 1) or the next one (level + 2) — a parent of u is dominated or
+  // v. Popped in level order, each seed list is nondecreasing. Entries
+  // pack (distance << 32 | vertex).
+  auto& near_seeds = BatchBfsAccess::cur(ws);
+  auto& far_seeds = BatchBfsAccess::next(ws);
+  auto& relax = BatchBfsAccess::visited(ws);
+  near_seeds.clear();
+  far_seeds.clear();
+  relax.clear();
+  for (std::size_t head = 0; head < dominated.size(); ++head) {
+    const Vertex u = dominated[head];
+    const Vertex level = base[u];
+    row[u] = inf_value;
+    bool near = false;
+    bool far = false;
+    for (const Vertex t : g.neighbors(u)) {
+      const Vertex lt = base[t];
+      if (lt == level) {
+        near |= stamp[t] != is_dominated;
+        continue;
+      }
+      if (lt != level + 1) continue;  // a parent: dominated or v
+      if (stamp[t] < examined) {
+        bool all_dominated = true;
+        for (const Vertex p : g.neighbors(t)) {
+          if (Vertex{base[p]} == level && stamp[p] != is_dominated) {
+            all_dominated = false;
+            break;
+          }
+        }
+        stamp[t] = all_dominated ? is_dominated : examined;
+        if (all_dominated) dominated.push_back(t);
+      }
+      far |= stamp[t] != is_dominated;
+    }
+    if (near) {
+      near_seeds.push_back((std::uint64_t{level} + 1) << 32 | u);
+    } else if (far) {
+      far_seeds.push_back((std::uint64_t{level} + 2) << 32 | u);
+    }
+  }
+  if (repaired != nullptr) *repaired += dominated.size();
+
+  // Relax inside the dominated set in nondecreasing distance: merging the
+  // two seed lists with the FIFO of unit relaxations (itself
+  // nondecreasing) settles each vertex at its exact G − v distance — the
+  // bucketed (Dial) order for unit edges. Unsettled vertices keep ∞.
+  std::size_t next_near = 0;
+  std::size_t next_far = 0;
+  std::size_t head = 0;
+  constexpr std::uint64_t kDrained = ~std::uint64_t{0};
+  for (;;) {
+    const std::uint64_t a = next_near < near_seeds.size() ? near_seeds[next_near] : kDrained;
+    const std::uint64_t b = next_far < far_seeds.size() ? far_seeds[next_far] : kDrained;
+    const std::uint64_t c = head < relax.size() ? relax[head] : kDrained;
+    const std::uint64_t entry = std::min({a, b, c});
+    if (entry == kDrained) break;
+    if (entry == a) {
+      ++next_near;
+    } else if (entry == b) {
+      ++next_far;
+    } else {
+      ++head;
+    }
+    const auto u = static_cast<Vertex>(entry);
+    const auto d = static_cast<Vertex>(entry >> 32);
+    if (stamp[u] != is_dominated) continue;  // settled earlier
+    if (d > max_finite) return false;        // saturated: unrepresentable finite distance
+    stamp[u] = settled;
+    row[u] = static_cast<Dist>(d);
+    for (const Vertex t : g.neighbors(u)) {
+      if (stamp[t] == is_dominated) relax.push_back((std::uint64_t{d} + 1) << 32 | t);
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 BfsResult csr_bfs(const CsrGraph& g, Vertex src, MaskedEdge mask, std::uint16_t* dist,
@@ -361,6 +481,35 @@ bool csr_apsp_capped(const CsrGraph& g, MaskedEdge mask, Dist* rows, BatchBfsWor
 }
 
 template <typename Dist>
+bool csr_apsp_capped_without(const CsrGraph& g, const Dist* full, Vertex v, Dist* rows,
+                             BatchBfsWorkspace& ws, Dist inf_value, Dist max_finite,
+                             std::uint64_t* repaired) {
+  BNCG_REQUIRE(max_finite < inf_value, "max_finite must stay below inf_value");
+  const Vertex n = g.num_vertices();
+  BNCG_REQUIRE(v < n, "vertex id out of range");
+  BatchBfsAccess::stamp(ws).assign(n, 0);
+  std::uint32_t epoch = 0;
+  if (repaired != nullptr) *repaired = 0;
+  const std::size_t row_bytes = static_cast<std::size_t>(n) * sizeof(Dist);
+  for (Vertex x = 0; x < n; ++x) {
+    Dist* row = rows + static_cast<std::size_t>(x) * n;
+    if (x == v) {
+      std::fill(row, row + n, inf_value);  // the vertex is absent: all-∞ row
+      continue;
+    }
+    const Dist* base = full + static_cast<std::size_t>(x) * n;
+    std::memcpy(row, base, row_bytes);
+    row[v] = inf_value;
+    if (base[v] == inf_value) continue;  // v is outside x's component
+    if (!repair_row(g, base, v, Vertex{base[v]}, row, ws, epoch, inf_value, max_finite,
+                    repaired)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+template <typename Dist>
 bool csr_apsp_rows_capped(const CsrGraph& g, std::span<const Vertex> sources, MaskedEdge mask,
                           Dist* matrix, std::size_t stride, BatchBfsWorkspace& ws,
                           Vertex masked_vertex, Dist inf_value, Dist max_finite) {
@@ -368,6 +517,14 @@ bool csr_apsp_rows_capped(const CsrGraph& g, std::span<const Vertex> sources, Ma
   return apsp_rows_impl(g, sources, mask, matrix, stride, ws, masked_vertex, inf_value,
                         max_finite);
 }
+
+template bool csr_apsp_capped_without<std::uint8_t>(const CsrGraph&, const std::uint8_t*, Vertex,
+                                                    std::uint8_t*, BatchBfsWorkspace&,
+                                                    std::uint8_t, std::uint8_t, std::uint64_t*);
+template bool csr_apsp_capped_without<std::uint16_t>(const CsrGraph&, const std::uint16_t*,
+                                                     Vertex, std::uint16_t*, BatchBfsWorkspace&,
+                                                     std::uint16_t, std::uint16_t,
+                                                     std::uint64_t*);
 
 template bool csr_apsp_capped<std::uint8_t>(const CsrGraph&, MaskedEdge, std::uint8_t*,
                                             BatchBfsWorkspace&, Vertex, std::uint8_t,

@@ -42,8 +42,9 @@ namespace bncg {
 /// 16-bit distance sentinel for unreachable vertices.
 inline constexpr std::uint16_t kInfDist16 = 0xFFFF;
 
-/// Scratch buffers for batched traversals; reuse across calls (one per
-/// thread — not thread-safe).
+/// Scratch buffers for batched traversals (and for the repair of
+/// `csr_apsp_capped_without`); reuse across calls (one per thread — not
+/// thread-safe).
 class BatchBfsWorkspace {
  public:
   friend struct BatchBfsAccess;
@@ -132,6 +133,26 @@ template <typename Dist>
 [[nodiscard]] bool csr_apsp_capped(const CsrGraph& g, MaskedEdge mask, Dist* rows,
                                    BatchBfsWorkspace& ws, Vertex masked_vertex,
                                    Dist inf_value, Dist max_finite);
+
+/// The matrix `csr_apsp_capped(g, {}, rows, ws, v, inf_value, max_finite)`
+/// would write — all distances of G − v — derived from `full`, the unmasked
+/// capped APSP of g at the same `inf_value` / `max_finite` (a call that
+/// returned true). Removing v changes d(x, u) only when every shortest x–u
+/// path runs through v, so each row of `full` is copied, v's row and column
+/// are blanked to `inf_value`, and only the rows x whose BFS DAG gives some
+/// child of v no parent but v are repaired: the vertices all of whose
+/// parents are v or themselves affected are found in level order, then
+/// re-relaxed in nondecreasing distance from their unaffected neighbors
+/// (unreached ones stay `inf_value`). Returns false exactly when the masked
+/// traversal would: some repaired finite distance exceeds `max_finite`
+/// (unchanged entries are distances of g, which `full` proved fit). When
+/// `repaired` is given, it receives the number of entries re-derived:
+/// exactly the pairs (x, u), x, u ≠ v, whose distance v's removal changes.
+/// DESIGN.md §5, "Masked APSP by repair". Instantiated for u8 and u16.
+template <typename Dist>
+[[nodiscard]] bool csr_apsp_capped_without(const CsrGraph& g, const Dist* full, Vertex v,
+                                           Dist* rows, BatchBfsWorkspace& ws, Dist inf_value,
+                                           Dist max_finite, std::uint64_t* repaired = nullptr);
 
 /// Width-adaptive selective row refresh (`csr_apsp_rows` semantics) with the
 /// same saturation contract as `csr_apsp_capped`. On a false return the

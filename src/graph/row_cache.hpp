@@ -59,6 +59,12 @@ struct RowCacheStats {
   /// Adaptive contexts that turned dense (counted by the DistanceProvider
   /// that owns the cache; a bare RowCache leaves it 0).
   std::uint64_t promotions = 0;
+  /// Dense slabs of G − v the owning DistanceProvider derived from the
+  /// snapshot's shared APSP by repair, and those it traversed instead (no
+  /// shared matrix offered, the shared matrix saturated the width, or the
+  /// budget could not hold it). A bare RowCache leaves both 0.
+  std::uint64_t slabs_derived = 0;
+  std::uint64_t slabs_traversed = 0;
 };
 
 /// Fixed-budget cache of masked distance rows, one instantiation per
