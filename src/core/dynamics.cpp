@@ -4,7 +4,6 @@
 #include <numeric>
 #include <unordered_set>
 
-#include "core/search_state.hpp"
 #include "core/swap_engine.hpp"
 #include "graph/io.hpp"
 #include "graph/metrics.hpp"
@@ -13,18 +12,14 @@ namespace bncg {
 
 namespace {
 
-/// Move provider for the dynamics loop, in three tiers:
-///  * SearchState-backed (n ≤ kSearchStateAutoMaxVertices and its slab fits
-///    the resource budget): per-agent masked distance matrices are cached
-///    across moves and caught up lazily through the toggle journal, so a
-///    scan costs a streamed row update instead of a fresh masked APSP.
-///  * SwapEngine-backed (every other n): one CSR snapshot per accepted
-///    move, rows dense or budgeted as the engine's policy decides (the
-///    first-improvement scans stream, and promote themselves to the dense
-///    slab past ⌈n/64⌉ rows).
+/// Move provider for the dynamics loop, in two tiers:
+///  * SwapEngine-backed (the default at every n): one CSR snapshot per
+///    accepted move, rows dense or budgeted as the engine's policy decides
+///    (the first-improvement scans stream, and promote themselves to the
+///    dense slab past ⌈n/64⌉ rows).
 ///  * naive (BNCG_FORCE_NAIVE): the original BFS-per-candidate oracle.
-/// All three return bit-identical deviations, so trajectories do not depend
-/// on the tier (differential-tested in tests/test_search_state.cpp). Each
+/// Both return bit-identical deviations, so trajectories do not depend on
+/// the tier (tests/test_swap_engine.cpp pins one trajectory for both). Each
 /// tier contributes only its first(v, include_deletions) / best(v) scans;
 /// the move selection and the certificate are written once over them.
 class MoveProvider {
@@ -33,24 +28,12 @@ class MoveProvider {
       : g_(g),
         config_(config),
         deletions_(config.cost == UsageCost::Max && config.allow_neutral_deletions) {
-    if (search_state_enabled(g, config.resources)) {
-      state_.emplace(g, config.cost, deletions_, /*parallel=*/true, config.resources.width);
-    } else if (!force_naive_requested()) {
-      engine_.emplace(g, config.resources);
-    }
+    if (!force_naive_requested()) engine_.emplace(g, config.resources);
   }
 
   /// Must be called after every executed move (graph mutated accordingly).
-  void on_move(const Deviation& dev) {
-    if (state_) {
-      if (dev.kind == Deviation::Kind::NonCriticalDelete) {
-        state_->apply_deletion(dev.swap.v, dev.swap.remove_w);
-      } else {
-        state_->apply_swap(dev.swap);
-      }
-    } else if (engine_) {
-      engine_->rebuild(g_);
-    }
+  void on_move() {
+    if (engine_) engine_->rebuild(g_);
   }
 
   /// Picks the deviation for agent `v` according to the configured model and
@@ -67,7 +50,6 @@ class MoveProvider {
   /// True iff the graph is in equilibrium for the configured game (including
   /// the deletion clause when neutral deletions participate in the max game).
   bool certified() {
-    if (state_) return state_->certify_current();
     if (engine_) return engine_->certify(config_.cost, deletions_).is_equilibrium;
     for (Vertex v = 0; v < g_.num_vertices(); ++v) {
       if (first(v, deletions_)) return false;
@@ -77,7 +59,6 @@ class MoveProvider {
 
  private:
   std::optional<Deviation> first(Vertex v, bool include_deletions) {
-    if (state_) return state_->first_deviation(v, include_deletions);
     if (engine_) return engine_->first_deviation(v, config_.cost, include_deletions);
     return config_.cost == UsageCost::Sum
                ? naive::first_sum_deviation(g_, v, ws_)
@@ -85,7 +66,6 @@ class MoveProvider {
   }
 
   std::optional<Deviation> best(Vertex v) {
-    if (state_) return state_->best_deviation(v);
     if (engine_) return engine_->best_deviation(v, config_.cost);
     return config_.cost == UsageCost::Sum ? naive::best_sum_deviation(g_, v, ws_)
                                           : naive::best_max_deviation(g_, v, ws_);
@@ -94,7 +74,6 @@ class MoveProvider {
   const Graph& g_;
   const DynamicsConfig& config_;
   bool deletions_;
-  std::optional<SearchState> state_;
   std::optional<SwapEngine> engine_;
   BfsWorkspace ws_;
 };
@@ -146,8 +125,8 @@ DynamicsResult run_dynamics(Graph start, const DynamicsConfig& config) {
   if (config.detect_revisits) visited.insert(to_graph6(g));
 
   bool out_of_budget = false;
-  const auto post_move = [&](const Deviation& dev) {
-    provider.on_move(dev);
+  const auto post_move = [&]() {
+    provider.on_move();
     ++result.moves;
     if (config.record_trace) record(g, config.cost, result.moves, result.trace);
     if (config.detect_revisits && !result.revisited &&
@@ -175,7 +154,7 @@ DynamicsResult run_dynamics(Graph start, const DynamicsConfig& config) {
       if (best) {
         execute(g, *best);
         any_move = true;
-        post_move(*best);
+        post_move();
       }
     } else {
       if (config.scheduler == Scheduler::RandomOrder) rng.shuffle(order);
@@ -185,7 +164,7 @@ DynamicsResult run_dynamics(Graph start, const DynamicsConfig& config) {
         if (!dev) continue;
         execute(g, *dev);
         any_move = true;
-        post_move(*dev);
+        post_move();
       }
     }
     ++result.passes;

@@ -25,7 +25,6 @@
 #include "core/dynamics.hpp"
 #include "core/equilibrium.hpp"
 #include "core/instance.hpp"
-#include "core/search_state.hpp"
 #include "core/swap.hpp"
 #include "core/swap_engine.hpp"
 #include "core/usage_cost.hpp"
@@ -701,8 +700,8 @@ TEST(RowCache, AdaptiveFirstDeviationMatchesOracleAndBudgeted) {
 
 // ------------------------------------------------------ dynamics parity
 
-// run_dynamics on the engine tier (n = 600 is above SearchState's cap):
-// the unbudgeted run's first-improvement scans are adaptive, a budget one
+// run_dynamics (which runs the engine at every n) at n = 600: the
+// unbudgeted run's first-improvement scans are adaptive, a budget one
 // byte below the u8 slab per lane makes them budgeted; moves, passes,
 // convergence and the final graph must not move. Registered as the
 // first_scan_dynamics CTest entry only (≈20 s: the budgeted sum quiet
@@ -711,7 +710,6 @@ TEST(FirstScanDynamics, AdaptiveTrajectoryMatchesBudgeted) {
   constexpr Vertex n = 600;
   Xoshiro256ss rng(0x600);
   const Graph start = random_connected_gnm(n, 2 * n, rng);
-  ASSERT_FALSE(search_state_enabled(start));
   const ResourceConfig budgeted{.mem_budget = ThreadPool::global().size() * (n * n - 1ull)};
   for (const DistWidth w : {DistWidth::U8, DistWidth::U16}) {
     EXPECT_EQ(WidthAndBudgetPolicy{ResourceConfig{}}.storage_for(n, w, /*stop_at_first=*/true),

@@ -1,9 +1,9 @@
 // Differential tests for the incremental-unrest SearchState
 // (core/search_state.hpp): every incremental quantity — proposal shapes,
-// unrest values, per-agent deviations, applied-move trajectories — is pinned
-// to full recomputation through the bncg::naive oracles after every accepted
-// AND rejected proposal, across 250+ random instances in both usage-cost
-// models, with the parallel evaluation pass both on and off.
+// unrest values, anneal trajectories — is pinned to full recomputation
+// through the bncg::naive oracles after every accepted AND rejected
+// proposal, across 140+ random instances in both usage-cost models, with the
+// parallel evaluation pass both on and off.
 #include "core/search_state.hpp"
 
 #include <gtest/gtest.h>
@@ -37,18 +37,6 @@ std::uint64_t naive_unrest(const Graph& g, UsageCost model, bool include_deletio
     total += std::max<std::uint64_t>(1, gain);
   }
   return total;
-}
-
-void expect_same_deviation(const std::optional<Deviation>& got,
-                           const std::optional<Deviation>& want, const std::string& context) {
-  ASSERT_EQ(got.has_value(), want.has_value()) << context;
-  if (!got) return;
-  EXPECT_EQ(got->swap.v, want->swap.v) << context;
-  EXPECT_EQ(got->swap.remove_w, want->swap.remove_w) << context;
-  EXPECT_EQ(got->swap.add_w, want->swap.add_w) << context;
-  EXPECT_EQ(got->cost_before, want->cost_before) << context;
-  EXPECT_EQ(got->cost_after, want->cost_after) << context;
-  EXPECT_EQ(got->kind, want->kind) << context;
 }
 
 Graph random_instance(int trial, Xoshiro256ss& rng) {
@@ -124,116 +112,6 @@ TEST(SearchStateDifferential, MaxUnrestMatchesNaiveOnEveryProposalSerial) {
 
 TEST(SearchStateDifferential, MaxUnrestMatchesNaiveOnEveryProposalParallel) {
   run_unrest_differential(UsageCost::Max, /*parallel=*/true, 35, 0xA004);
-}
-
-TEST(SearchStateDifferential, DeviationsMatchNaiveWitnessForWitness) {
-  Xoshiro256ss rng(0xB005);
-  BfsWorkspace ws;
-  for (int trial = 0; trial < 60; ++trial) {
-    const Graph g = random_instance(trial, rng);
-    for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
-      SearchState state(g, model, /*include_deletions=*/true);
-      for (Vertex v = 0; v < g.num_vertices(); ++v) {
-        const std::string ctx = "trial " + std::to_string(trial) + " agent " +
-                                std::to_string(v) +
-                                (model == UsageCost::Sum ? " sum" : " max");
-        if (model == UsageCost::Sum) {
-          expect_same_deviation(state.best_deviation(v), naive::best_sum_deviation(g, v, ws),
-                                ctx + " best");
-          expect_same_deviation(state.first_deviation(v), naive::first_sum_deviation(g, v, ws),
-                                ctx + " first");
-        } else {
-          expect_same_deviation(state.best_deviation(v), naive::best_max_deviation(g, v, ws),
-                                ctx + " best");
-          expect_same_deviation(state.best_deviation(v, /*include_deletions=*/true),
-                                naive::best_max_deviation(g, v, ws, true), ctx + " best+del");
-          expect_same_deviation(state.first_deviation(v, /*include_deletions=*/true),
-                                naive::first_max_deviation(g, v, ws, true), ctx + " first+del");
-        }
-      }
-    }
-  }
-}
-
-TEST(SearchStateDifferential, AppliedMoveTrajectoriesMatchNaiveDynamics) {
-  // Round-robin first-improvement dynamics driven twice: once through
-  // SearchState::apply_swap (journal catch-up, lazy matrices), once through
-  // the naive oracle on a mirror graph. Every move must be identical.
-  Xoshiro256ss rng(0xC006);
-  BfsWorkspace ws;
-  for (int trial = 0; trial < 25; ++trial) {
-    Graph mirror = random_instance(trial, rng);
-    const UsageCost model = trial % 2 == 0 ? UsageCost::Sum : UsageCost::Max;
-    const bool deletions = model == UsageCost::Max;
-    SearchState state(mirror, model, deletions);
-    int moves = 0;
-    bool progress = true;
-    while (progress && moves < 60) {
-      progress = false;
-      for (Vertex v = 0; v < mirror.num_vertices() && moves < 60; ++v) {
-        const auto naive_dev = model == UsageCost::Sum
-                                   ? naive::first_sum_deviation(mirror, v, ws)
-                                   : naive::first_max_deviation(mirror, v, ws, deletions);
-        const auto state_dev = state.first_deviation(v, deletions);
-        expect_same_deviation(state_dev, naive_dev,
-                              "trial " + std::to_string(trial) + " move " +
-                                  std::to_string(moves) + " agent " + std::to_string(v));
-        if (!naive_dev) continue;
-        if (naive_dev->kind == Deviation::Kind::NonCriticalDelete) {
-          mirror.remove_edge(naive_dev->swap.v, naive_dev->swap.remove_w);
-          state.apply_deletion(naive_dev->swap.v, naive_dev->swap.remove_w);
-        } else {
-          apply_swap(mirror, naive_dev->swap);
-          state.apply_swap(naive_dev->swap);
-        }
-        ASSERT_EQ(state.graph(), mirror);
-        ++moves;
-        progress = true;
-      }
-    }
-    // Converged (or budget): certification verdicts must agree too.
-    const bool naive_certified = model == UsageCost::Sum
-                                     ? naive::certify_sum_equilibrium(mirror).is_equilibrium
-                                     : naive::certify_max_equilibrium(mirror).is_equilibrium;
-    EXPECT_EQ(state.certify_current(), naive_certified) << "trial " << trial;
-  }
-}
-
-TEST(SearchStateDifferential, LazyAgentsCatchUpAcrossLongJournals) {
-  // Apply more toggles than the replay window while querying only one agent,
-  // forcing both the formula-replay and the full-rebuild catch-up paths.
-  Xoshiro256ss rng(0xD007);
-  for (int trial = 0; trial < 12; ++trial) {
-    Graph mirror = random_connected_gnm(12, 22, rng);
-    SearchState state(mirror, UsageCost::Sum);
-    BfsWorkspace ws;
-    // Seed the lazy matrices for agent 0 only.
-    expect_same_deviation(state.best_deviation(0), naive::best_sum_deviation(mirror, 0, ws),
-                          "pre-toggle");
-    int applied = 0;
-    int guard = 0;
-    while (applied < 8 && guard++ < 200) {
-      const Vertex u = static_cast<Vertex>(rng.below(12));
-      const Vertex v = static_cast<Vertex>(rng.below(12));
-      if (u == v) continue;
-      Graph toggled = mirror;
-      const bool removing = toggled.has_edge(u, v);
-      if (removing) {
-        toggled.remove_edge(u, v);
-        if (!is_connected(toggled)) continue;  // keep the walk connected
-        state.apply_deletion(u, v);
-      } else {
-        toggled.add_edge(u, v);
-        state.apply_toggle(u, v);
-      }
-      mirror = std::move(toggled);
-      ++applied;
-    }
-    for (Vertex v = 0; v < 12; ++v) {
-      expect_same_deviation(state.best_deviation(v), naive::best_sum_deviation(mirror, v, ws),
-                            "trial " + std::to_string(trial) + " agent " + std::to_string(v));
-    }
-  }
 }
 
 TEST(SearchStateDifferential, AnnealTrajectoriesIdenticalAcrossEvaluationModes) {

@@ -18,10 +18,10 @@
 #include "core/dynamics.hpp"
 #include "core/equilibrium.hpp"
 #include "core/kstability.hpp"
-#include "core/search_state.hpp"
 #include "gen/classic.hpp"
 #include "gen/paper.hpp"
 #include "gen/random.hpp"
+#include "graph/io.hpp"
 #include "util/rng.hpp"
 
 namespace bncg {
@@ -363,31 +363,117 @@ TEST(EngineRouting, UnbudgetedRoutesPastTheSixteenBitEncodingUseTheOracle) {
   EXPECT_EQ(dense_paths_use_oracle(routing_instance()), force_naive_requested());
 }
 
-TEST(EngineRouting, DynamicsTrajectoryIsIndependentOfTheSearchStateBudget) {
-  Xoshiro256ss rng(0xB0D6);
-  const Graph start = random_connected_gnm(48, 96, rng);
-  const std::uint64_t slab = 2ull * 48 * 48 * 48;  // SearchState's u16 bound
-  EXPECT_FALSE(search_state_enabled(start, {.mem_budget = slab - 1}));
-  EXPECT_EQ(search_state_enabled(start, {.mem_budget = slab}), !force_naive_requested());
-  for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
+/// One run_dynamics trajectory, pinned by its outcome and its last trace
+/// entry. The values were recorded when dynamics at these n still ran the
+/// SearchState tier, and the oracle reproduced them then, too.
+struct PinnedTrajectory {
+  Vertex n;
+  std::uint64_t seed;  ///< Xoshiro256ss seed of random_connected_gnm(n, 2n)
+  UsageCost model;
+  std::uint64_t moves;
+  std::uint64_t passes;
+  std::uint64_t fingerprint;  ///< graph_fingerprint of the final graph
+  TraceEntry last;
+};
+
+TEST(EngineRouting, DynamicsTrajectoriesMatchPinnedValues) {
+  // Plain runs pin the engine tier; the force_naive_routing entry re-runs
+  // this under BNCG_FORCE_NAIVE=1 and so pins the oracle to the same moves.
+  // Sum runs take first improvements; max runs take best improvements with
+  // neutral deletions as the fallback.
+  const PinnedTrajectory pins[] = {
+      {48, 0xB0D6, UsageCost::Sum, 55, 3, 0x8f7ce472bda6f2c7ull, {55, 4320, 2}},
+      {48, 0xB0D6, UsageCost::Max, 143, 6, 0x95990e3b491346bfull, {143, 95, 2}},
+      {96, 0x9619, UsageCost::Sum, 98, 3, 0xcce94ca888017beeull, {98, 17856, 2}},
+      {96, 0x9619, UsageCost::Max, 328, 7, 0xa0126d858e1b4bcdull, {328, 286, 3}},
+  };
+  for (const PinnedTrajectory& pin : pins) {
+    Xoshiro256ss rng(pin.seed);
+    const Graph start = random_connected_gnm(pin.n, 2 * std::size_t{pin.n}, rng);
     DynamicsConfig config;
-    config.cost = model;
-    config.policy = model == UsageCost::Max ? MovePolicy::BestImprovement
-                                            : MovePolicy::FirstImprovement;
-    config.allow_neutral_deletions = model == UsageCost::Max;
+    config.cost = pin.model;
+    config.policy = pin.model == UsageCost::Max ? MovePolicy::BestImprovement
+                                                : MovePolicy::FirstImprovement;
+    config.allow_neutral_deletions = pin.model == UsageCost::Max;
     config.record_trace = true;
-    const DynamicsResult free_run = run_dynamics(start, config);
-    config.resources.mem_budget = slab - 1;
-    const DynamicsResult budgeted = run_dynamics(start, config);
-    EXPECT_GT(free_run.moves, 0u);
-    EXPECT_EQ(budgeted.moves, free_run.moves);
-    EXPECT_EQ(budgeted.passes, free_run.passes);
-    EXPECT_EQ(budgeted.converged, free_run.converged);
-    EXPECT_EQ(budgeted.graph.edges(), free_run.graph.edges());
-    ASSERT_EQ(budgeted.trace.size(), free_run.trace.size());
-    for (std::size_t i = 0; i < free_run.trace.size(); ++i) {
-      EXPECT_EQ(budgeted.trace[i].social_cost, free_run.trace[i].social_cost);
-      EXPECT_EQ(budgeted.trace[i].diameter, free_run.trace[i].diameter);
+    const DynamicsResult r = run_dynamics(start, config);
+    const std::string ctx = "G(" + std::to_string(pin.n) + ", " + std::to_string(2 * pin.n) +
+                            (pin.model == UsageCost::Sum ? ") sum" : ") max");
+    EXPECT_EQ(r.moves, pin.moves) << ctx;
+    EXPECT_EQ(r.passes, pin.passes) << ctx;
+    EXPECT_TRUE(r.converged) << ctx;
+    EXPECT_EQ(graph_fingerprint(r.graph), pin.fingerprint) << ctx;
+    ASSERT_FALSE(r.trace.empty()) << ctx;
+    EXPECT_EQ(r.trace.back().move, pin.last.move) << ctx;
+    EXPECT_EQ(r.trace.back().social_cost, pin.last.social_cost) << ctx;
+    EXPECT_EQ(r.trace.back().diameter, pin.last.diameter) << ctx;
+  }
+}
+
+// ------------------------------------------------------ dynamics parity
+
+/// Small mixed starts for the move-by-move dynamics differential.
+Graph dynamics_start(int trial, Xoshiro256ss& rng) {
+  const Vertex n = 6 + static_cast<Vertex>(rng.below(13));  // 6..18
+  switch (trial % 4) {
+    case 0:
+      return random_connected_gnm(n, n + n / 2, rng);
+    case 1:
+      return random_connected_gnm(n, 2 * static_cast<std::size_t>(n), rng);
+    case 2:
+      return random_tree(n, rng);
+    default:
+      return random_connected_gnm(n, n - 1 + rng.below(n), rng);
+  }
+}
+
+TEST(EngineDynamics, AppliedMoveTrajectoriesMatchNaiveDynamics) {
+  // Round-robin first-improvement dynamics driven the way run_dynamics
+  // drives the engine — first_deviation, apply, rebuild on the mutated
+  // graph — with the naive oracle asked the same question on the same
+  // graph before every move. Every move must be identical, and so must the
+  // final certificate.
+  Xoshiro256ss rng(0xC006);
+  BfsWorkspace ws;
+  for (int trial = 0; trial < 25; ++trial) {
+    Graph mirror = dynamics_start(trial, rng);
+    const UsageCost model = trial % 2 == 0 ? UsageCost::Sum : UsageCost::Max;
+    const bool deletions = model == UsageCost::Max;
+    SwapEngine engine(mirror);
+    int moves = 0;
+    bool progress = true;
+    while (progress && moves < 60) {
+      progress = false;
+      for (Vertex v = 0; v < mirror.num_vertices() && moves < 60; ++v) {
+        const auto naive_dev = model == UsageCost::Sum
+                                   ? naive::first_sum_deviation(mirror, v, ws)
+                                   : naive::first_max_deviation(mirror, v, ws, deletions);
+        const std::string ctx = "trial " + std::to_string(trial) + " move " +
+                                std::to_string(moves) + " agent " + std::to_string(v);
+        expect_same_deviation(engine.first_deviation(v, model, deletions), naive_dev,
+                              ctx.c_str());
+        if (!naive_dev) continue;
+        if (naive_dev->kind == Deviation::Kind::NonCriticalDelete) {
+          mirror.remove_edge(naive_dev->swap.v, naive_dev->swap.remove_w);
+        } else {
+          apply_swap(mirror, naive_dev->swap);
+        }
+        engine.rebuild(mirror);
+        ASSERT_EQ(graph_fingerprint(engine.snapshot()), graph_fingerprint(mirror)) << ctx;
+        ++moves;
+        progress = true;
+      }
+    }
+    // Converged (or budget): the certificates must agree too.
+    const EquilibriumCertificate got = engine.certify(model, deletions);
+    const EquilibriumCertificate want = model == UsageCost::Sum
+                                            ? naive::certify_sum_equilibrium(mirror)
+                                            : naive::certify_max_equilibrium(mirror);
+    EXPECT_EQ(got.is_equilibrium, want.is_equilibrium) << "trial " << trial;
+    EXPECT_EQ(got.moves_checked, want.moves_checked) << "trial " << trial;
+    ASSERT_EQ(got.witness.has_value(), want.witness.has_value()) << "trial " << trial;
+    if (want.witness) {
+      EXPECT_EQ(got.witness->cost_after, want.witness->cost_after) << "trial " << trial;
     }
   }
 }
