@@ -44,12 +44,16 @@
 // streamed (row cache) and adaptive (stream, then promote) storage, with
 // the adaptive run's misses and promotions.
 //
-// A "masked_apsp" section prices the dense fill of G − v: per agent, the
-// batched masked traversal (csr_apsp_capped with v masked) against the
-// derivation from the snapshot's shared unmasked APSP
-// (csr_apsp_capped_without, the base built once and timed separately), on
-// gnm, the rotated torus, a random tree, a star and a cycle. The two slabs
-// and saturation verdicts are asserted identical for every timed agent.
+// A "masked_apsp" section prices the rows of G − v: per agent, the batched
+// masked traversal (csr_apsp_capped with v masked) against the derivation
+// of every row from the snapshot's shared unmasked APSP (csr_row_without,
+// the base built once and timed separately), on gnm, the rotated torus, a
+// random tree, a star and a cycle; the two and their saturation verdicts
+// are asserted identical for every timed agent (column v aside, which
+// keeps d(x, v)). Its by-reference columns price what the engine's dense
+// scans pay instead: the affected-row mask, and the sum and max
+// best_deviation per agent over rows served from the base, with the rows
+// each repaired.
 //
 // A second "kernels" section microbenchmarks the dispatched SIMD kernels
 // (util/simd.hpp) directly: every simd::Kernels entry at both widths is
@@ -575,7 +579,8 @@ std::vector<FirstScanRow> measure_first_scans_all(Vertex max_n) {
 }
 
 // ---------------------------------------------------------------------------
-// Masked APSP: traversing G − v vs deriving it from the shared base.
+// Masked APSP: traversing G − v vs deriving it from the shared base, and the
+// rows-by-reference scans that repair only the rows they read.
 
 struct MaskedApspRow {
   std::string instance;
@@ -585,14 +590,44 @@ struct MaskedApspRow {
   std::uint64_t agents = 0;
   double base_seconds = 0.0;      ///< the one unmasked APSP (once per snapshot)
   double traverse_seconds = 0.0;  ///< per agent
-  double derive_seconds = 0.0;    ///< per agent
+  double derive_seconds = 0.0;    ///< per agent: every row of G − v by repair
   double repaired_pairs = 0.0;    ///< per agent: pairs whose distance v's removal changes
+  double affected_rows = 0.0;     ///< per agent: rows v's removal changes (the mask)
+  double mask_seconds = 0.0;      ///< per agent: the affected-row mask kernel
+  double sum_rows_repaired = 0.0;  ///< per agent: rows a by-reference sum scan repaired
+  double max_rows_repaired = 0.0;  ///< per agent: rows a by-reference max scan repaired
+  double sum_scan_seconds = 0.0;   ///< per agent: best_deviation, sum, base prebuilt
+  double max_scan_seconds = 0.0;   ///< per agent: best_deviation, max, base prebuilt
 
   [[nodiscard]] double speedup() const { return traverse_seconds / derive_seconds; }
 };
 
+/// The affected-row mask of G − v, its operands gathered the way the
+/// DistanceProvider gathers them: the base rows of N(v) and, per child,
+/// of its other neighbors.
+template <typename Dist>
+std::uint32_t affected_mask(const CsrGraph& csr, const Dist* base, Vertex v, Dist inf,
+                            std::vector<std::uint32_t>& out) {
+  const std::size_t n = csr.num_vertices();
+  std::vector<const Dist*> kids, parents;
+  std::vector<std::uint32_t> off{0};
+  for (const Vertex c : csr.neighbors(v)) {
+    kids.push_back(base + c * n);
+    for (const Vertex p : csr.neighbors(c)) {
+      if (p != v) parents.push_back(base + p * n);
+    }
+    off.push_back(static_cast<std::uint32_t>(parents.size()));
+  }
+  out.resize(n);
+  return simd::kernels<Dist>().affected_rows(base + v * n, kids.data(), parents.data(),
+                                             off.data(), static_cast<std::uint32_t>(kids.size()),
+                                             static_cast<std::uint32_t>(n), inf, out.data());
+}
+
 /// Times 16 evenly spaced agents (agent 0 included) at width Dist; exits
-/// on any slab or verdict mismatch.
+/// on any row or verdict mismatch. The scans run on an engine whose base
+/// is built before the clock starts; each agent's figure is the fastest of
+/// three sweeps.
 template <typename Dist>
 MaskedApspRow measure_masked_apsp_t(std::string instance, const Graph& g, Dist inf, Dist cap) {
   const CsrGraph csr(g);
@@ -614,29 +649,66 @@ MaskedApspRow measure_masked_apsp_t(std::string instance, const Graph& g, Dist i
               << "\n";
     std::exit(1);
   }
+  const SwapEngine engine(
+      g, {.width = sizeof(Dist) == 1 ? WidthPolicy::ForceU8 : WidthPolicy::ForceU16});
+  engine.warm_base(/*stop_at_first=*/false);
+  SwapEngine::Scratch scratch;
+  std::vector<std::uint32_t> mask;
   constexpr Vertex kAgents = 16;
+  constexpr int kMaskReps = 64;
   for (Vertex i = 0; i < kAgents; ++i) {
     const Vertex v = static_cast<Vertex>(std::uint64_t{i} * n / kAgents);
-    bool want = false, got = false;
+    bool want = false, got = true;
     std::uint64_t repaired = 0;
     row.traverse_seconds += time_seconds([&] {
       want = csr_apsp_capped<Dist>(csr, MaskedEdge{}, traversed.data(), ws, v, inf, cap);
     });
     row.derive_seconds += time_seconds([&] {
-      got = csr_apsp_capped_without<Dist>(csr, base.data(), v, derived.data(), ws, inf, cap,
-                                          &repaired);
+      for (std::size_t x = 0; x < n; ++x) {
+        got = csr_row_without<Dist>(csr, base.data() + x * n, v, derived.data() + x * n, ws, inf,
+                                    cap, x == v ? nullptr : &repaired) && got;
+      }
     });
     row.repaired_pairs += static_cast<double>(repaired);
-    if (want != got || (want && traversed != derived)) {
-      std::cerr << "FATAL: masked_apsp derived slab differs from the traversal on "
+    bool same = want == got;
+    for (std::size_t at = 0; same && want && at < cells; ++at) {
+      same = at % n == v || traversed[at] == derived[at];  // column v keeps d(x, v)
+    }
+    if (!same) {
+      std::cerr << "FATAL: masked_apsp derived rows differ from the traversal on "
                 << row.instance << " v=" << v << "\n";
       std::exit(1);
     }
+    std::uint32_t affected = 0;
+    row.mask_seconds += time_seconds([&] {
+      for (int rep = 0; rep < kMaskReps; ++rep) affected = affected_mask(csr, base.data(), v, inf, mask);
+    }) / kMaskReps;
+    row.affected_rows += affected;
+    for (const UsageCost model : {UsageCost::Sum, UsageCost::Max}) {
+      double fastest = 0.0;
+      std::uint64_t rows_repaired = 0;
+      for (int sweep = 0; sweep < 3; ++sweep) {
+        const std::uint64_t before = scratch.row_cache_stats().rows_repaired;
+        const double t = time_seconds([&] { (void)engine.best_deviation(v, model, scratch); });
+        rows_repaired = scratch.row_cache_stats().rows_repaired - before;
+        fastest = sweep == 0 ? t : std::min(fastest, t);
+      }
+      (model == UsageCost::Sum ? row.sum_scan_seconds : row.max_scan_seconds) += fastest;
+      (model == UsageCost::Sum ? row.sum_rows_repaired : row.max_rows_repaired) +=
+          static_cast<double>(rows_repaired);
+    }
+  }
+  if (engine.width_fallbacks() != 0 || scratch.row_cache_stats().slabs_traversed != 0) {
+    std::cerr << "FATAL: masked_apsp scans of " << row.instance << " left the by-reference path\n";
+    std::exit(1);
   }
   row.agents = kAgents;
-  row.traverse_seconds /= kAgents;
-  row.derive_seconds /= kAgents;
-  row.repaired_pairs /= kAgents;
+  for (double* per_agent :
+       {&row.traverse_seconds, &row.derive_seconds, &row.repaired_pairs, &row.affected_rows,
+        &row.mask_seconds, &row.sum_rows_repaired, &row.max_rows_repaired, &row.sum_scan_seconds,
+        &row.max_scan_seconds}) {
+    *per_agent /= kAgents;
+  }
   return row;
 }
 
@@ -670,7 +742,10 @@ std::vector<MaskedApspRow> measure_masked_apsp_all(Vertex max_n) {
     std::cout << "masked_apsp " << r.instance << " n=" << r.n << " width=" << r.width
               << " base=" << r.base_seconds << "s traverse=" << r.traverse_seconds
               << "s/agent derive=" << r.derive_seconds << "s/agent speedup=" << r.speedup()
-              << "x repaired_pairs=" << r.repaired_pairs << "\n";
+              << "x repaired_pairs=" << r.repaired_pairs << " affected_rows=" << r.affected_rows
+              << " mask=" << r.mask_seconds << "s/agent sum_scan=" << r.sum_scan_seconds
+              << "s/agent (" << r.sum_rows_repaired << " rows) max_scan=" << r.max_scan_seconds
+              << "s/agent (" << r.max_rows_repaired << " rows)\n";
   }
   return rows;
 }
@@ -1062,7 +1137,13 @@ int main(int argc, char** argv) {
         << ", \"traverse_seconds_per_agent\": " << r.traverse_seconds
         << ", \"derive_seconds_per_agent\": " << r.derive_seconds
         << ", \"repaired_pairs_per_agent\": " << r.repaired_pairs
-        << ", \"speedup\": " << r.speedup() << "}"
+        << ", \"speedup\": " << r.speedup()
+        << ", \"affected_rows_per_agent\": " << r.affected_rows
+        << ", \"mask_seconds_per_agent\": " << r.mask_seconds
+        << ", \"sum_rows_repaired_per_agent\": " << r.sum_rows_repaired
+        << ", \"max_rows_repaired_per_agent\": " << r.max_rows_repaired
+        << ", \"sum_scan_seconds_per_agent\": " << r.sum_scan_seconds
+        << ", \"max_scan_seconds_per_agent\": " << r.max_scan_seconds << "}"
         << (i + 1 < masked_apsp_rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";

@@ -110,18 +110,30 @@ bool WidthAndBudgetPolicy::shared_slab_fits(Vertex n, DistWidth w) const noexcep
 }
 
 template <typename Dist>
+template <typename Fill>
+const Dist* SharedApsp<Dist>::build_once(Vertex n, Fill&& fill) {
+  if (state_ == kUnbuilt) {
+    matrix_.resize(static_cast<std::size_t>(n) * n);
+    state_ = fill(matrix_.data()) ? kReady : kSaturated;
+  }
+  return state_ == kReady ? matrix_.data() : nullptr;
+}
+
+template <typename Dist>
 const Dist* SharedApsp<Dist>::get(const CsrGraph& csr, Dist inf_value, Dist max_finite,
                                   BatchBfsWorkspace& ws) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (state_ == kUnbuilt) {
-    const Vertex n = csr.num_vertices();
-    matrix_.resize(static_cast<std::size_t>(n) * n);
-    state_ = csr_apsp_capped<Dist>(csr, MaskedEdge{}, matrix_.data(), ws, kNoVertex, inf_value,
-                                   max_finite)
-                 ? kReady
-                 : kSaturated;
-  }
-  return state_ == kReady ? matrix_.data() : nullptr;
+  return build_once(csr.num_vertices(), [&](Dist* rows) {
+    return csr_apsp_capped<Dist>(csr, MaskedEdge{}, rows, ws, kNoVertex, inf_value, max_finite);
+  });
+}
+
+template <typename Dist>
+void SharedApsp<Dist>::warm(const CsrGraph& csr, Dist inf_value, Dist max_finite) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  (void)build_once(csr.num_vertices(), [&](Dist* rows) {
+    return csr_apsp_capped_pooled<Dist>(csr, rows, inf_value, max_finite);
+  });
 }
 
 template <typename Dist>
@@ -137,8 +149,10 @@ bool DistanceProvider<Dist>::begin(const CsrGraph& csr, Vertex masked_vertex, Di
   masked_vertex_ = masked_vertex;
   inf_value_ = inf_value;
   max_finite_ = max_finite;
-  if (storage == RowStorage::Dense) return fill_slab(ws);
   dense_ = nullptr;
+  base_ = nullptr;
+  affected_.clear();
+  if (storage == RowStorage::Dense) return go_dense(ws);
   // Budgeted with an unlimited budget (possible at n ≥ 65535, where the
   // dense path is unavailable regardless): blocks grow on demand, LRU never
   // needs to evict. Adaptive: the slab it may promote into comes out of
@@ -161,22 +175,89 @@ bool DistanceProvider<Dist>::begin(const CsrGraph& csr, Vertex masked_vertex, Di
 }
 
 template <typename Dist>
-bool DistanceProvider<Dist>::fill_slab(BatchBfsWorkspace& ws) {
+bool DistanceProvider<Dist>::go_dense(BatchBfsWorkspace& ws) {
   storage_ = RowStorage::Dense;
-  const std::size_t cells = static_cast<std::size_t>(n_) * n_;
-  if (slab_->size() < cells) slab_->resize(cells);
-  dense_ = slab_->data();
   // The shared matrix is the snapshot's, built at this context's encoding:
   // every caller of one SharedApsp<Dist> passes the engine's inf / cap.
-  if (const Dist* full = shared_ != nullptr ? shared_->get(*csr_, inf_value_, max_finite_, ws)
-                                            : nullptr) {
-    ++slabs_derived_;
-    return csr_apsp_capped_without<Dist>(*csr_, full, masked_vertex_, slab_->data(), ws,
-                                         inf_value_, max_finite_);
+  base_ = shared_ != nullptr ? shared_->get(*csr_, inf_value_, max_finite_, ws) : nullptr;
+  if (base_ == nullptr) {
+    ++slabs_traversed_;
+    const std::size_t cells = static_cast<std::size_t>(n_) * n_;
+    if (slab_->size() < cells) slab_->resize(cells);
+    dense_ = slab_->data();
+    return csr_apsp_capped<Dist>(*csr_, MaskedEdge{}, slab_->data(), ws, masked_vertex_,
+                                 inf_value_, max_finite_);
   }
-  ++slabs_traversed_;
-  return csr_apsp_capped<Dist>(*csr_, MaskedEdge{}, slab_->data(), ws, masked_vertex_, inf_value_,
-                               max_finite_);
+  ++slabs_derived_;
+  const Vertex v = masked_vertex_;
+  const std::size_t n = n_;
+  const auto base_row = [&](Vertex x) { return base_ + static_cast<std::size_t>(x) * n; };
+
+  // The unique-parent test of every row at once: by symmetry d(x, c) is
+  // column x of base row c, so each child c ∈ N(v) and its other parents
+  // p ∈ N(c) ∖ {v} contribute whole base rows.
+  const auto nbrs = csr_->neighbors(v);
+  kid_rows_.clear();
+  parent_rows_.clear();
+  parent_off_.assign(1, 0);
+  for (const Vertex c : nbrs) {
+    kid_rows_.push_back(base_row(c));
+    for (const Vertex p : csr_->neighbors(c)) {
+      if (p != v) parent_rows_.push_back(base_row(p));
+    }
+    parent_off_.push_back(static_cast<std::uint32_t>(parent_rows_.size()));
+  }
+  affected_.resize(n);
+  affected_.resize(simd::kernels<Dist>().affected_rows(
+      base_row(v), kid_rows_.data(), parent_rows_.data(), parent_off_.data(),
+      static_cast<std::uint32_t>(nbrs.size()), n_, inf_value_, affected_.data()));
+  slot_.assign(n, kByReference);
+  for (const Vertex x : affected_) slot_[x] = kUnrepaired;
+  slots_used_ = 0;
+  // Repaired rows stack up in the slab, which reserves room for every row
+  // once (so no repair moves an earlier row) but only ever writes, and so
+  // only makes resident, the rows the scan repairs.
+  slab_->clear();
+  slab_->reserve(n * n);
+
+  // The width verdict of the whole matrix. Every component of G − v either
+  // holds some z ∈ N(v), where d(x, u) ≤ d(x, z) + d(z, u) ≤ 2·max_z ecc,
+  // or is a component of G, whose distances the base proved fit. The
+  // neighbor fold reads these rows anyway.
+  Dist widest = 0;
+  for (const Vertex z : nbrs) {
+    const Dist* row_z = row(z, ws);
+    if (row_z == nullptr) return false;
+    Dist ecc = 0;
+    simd::kernels<Dist>().finite_max2(row_z, row_z, n_, inf_value_, &ecc, &ecc);
+    widest = std::max(widest, ecc);
+  }
+  if (2 * std::uint32_t{widest} <= max_finite_) return true;
+  for (const Vertex x : affected_) {
+    if (x != v && row(x, ws) == nullptr) return false;  // row v is all ∞ in G − v
+  }
+  return true;
+}
+
+template <typename Dist>
+const Dist* DistanceProvider<Dist>::repair(Vertex x, BatchBfsWorkspace& ws) {
+  const std::size_t at = static_cast<std::size_t>(slots_used_) * n_;
+  slab_->resize(at + n_);  // within the capacity begin() reserved
+  Dist* out = slab_->data() + at;
+  const auto nbrs = csr_->neighbors(x);
+  if (nbrs.size() == 1 && nbrs[0] == masked_vertex_) {
+    // A leaf of v is alone in G − v: its row is ∞ but at x itself (and at
+    // column v, which keeps d(x, v)), with no walk over the rest.
+    std::fill(out, out + n_, inf_value_);
+    out[x] = 0;
+    out[masked_vertex_] = 1;
+  } else if (!csr_row_without<Dist>(*csr_, base_ + static_cast<std::size_t>(x) * n_,
+                                    masked_vertex_, out, ws, inf_value_, max_finite_)) {
+    return nullptr;
+  }
+  ++rows_repaired_;
+  slot_[x] = slots_used_++;
+  return out;
 }
 
 template <typename Dist>
@@ -184,7 +265,7 @@ bool DistanceProvider<Dist>::promote_before(std::size_t missing, BatchBfsWorkspa
   const std::size_t filled = cache_.context_filled().size();
   if (filled + missing <= WidthAndBudgetPolicy::rows_before_promotion(n_)) return true;
   ++promotions_;
-  return fill_slab(ws);
+  return go_dense(ws);
 }
 
 template <typename Dist>
@@ -192,11 +273,21 @@ const Dist* DistanceProvider<Dist>::row(Vertex source, BatchBfsWorkspace& ws) {
   if (storage_ == RowStorage::Adaptive && !cache_.resident(source) && !promote_before(1, ws)) {
     return nullptr;
   }
-  if (storage_ == RowStorage::Dense) {
+  if (storage_ != RowStorage::Dense) return cache_.row(source, ws);
+  if (base_ == nullptr) {
     BNCG_REQUIRE(dense_ != nullptr, "distance provider used before begin()");
     return dense_ + static_cast<std::size_t>(source) * n_;
   }
-  return cache_.row(source, ws);
+  const std::uint32_t slot = slot_[source];
+  if (slot == kByReference) return base_ + static_cast<std::size_t>(source) * n_;
+  if (slot == kUnrepaired) return repair(source, ws);
+  return slab_->data() + static_cast<std::size_t>(slot) * n_;
+}
+
+template <typename Dist>
+const Dist* DistanceProvider<Dist>::lower_row(Vertex source, BatchBfsWorkspace& ws, bool& exact) {
+  exact = storage_ != RowStorage::Dense || base_ == nullptr || slot_[source] != kUnrepaired;
+  return exact ? row(source, ws) : base_ + static_cast<std::size_t>(source) * n_;
 }
 
 template <typename Dist>

@@ -39,7 +39,9 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "graph/bfs_batch.hpp"
 #include "graph/csr.hpp"
@@ -147,19 +149,25 @@ class WidthAndBudgetPolicy {
 };
 
 /// The unmasked capped APSP of one snapshot at one width, shared by every
-/// scan lane of an engine: built by the first dense fill that asks for it
-/// (the others wait on the mutex), and dropped by reset() when the
-/// snapshot changes. A dense fill derives G − v's matrix from it
-/// (csr_apsp_capped_without) instead of traversing G − v.
+/// scan lane of an engine: built by warm() on the pool before a parallel
+/// sweep, or by the first dense context that asks for it (the others wait
+/// on the mutex), and dropped by reset() when the snapshot changes. A
+/// dense context serves G − v's rows from it by reference, repairing only
+/// the rows v's removal changes.
 template <typename Dist>
 class SharedApsp {
  public:
-  /// The matrix of `csr` at (inf_value, max_finite), built on first use;
-  /// nullptr when it saturates the width (then every fill traverses). The
-  /// matrix is never written again until reset(), so the pointer may be
-  /// read without the lock.
+  /// The matrix of `csr` at (inf_value, max_finite), built serially on
+  /// first use; nullptr when it saturates the width (then every fill
+  /// traverses). The matrix is never written again until reset(), so the
+  /// pointer may be read without the lock.
   [[nodiscard]] const Dist* get(const CsrGraph& csr, Dist inf_value, Dist max_finite,
                                 BatchBfsWorkspace& ws);
+  /// Builds the matrix now, its 64-source batches on the process pool
+  /// (csr_apsp_capped_pooled), unless it is built already. Called from
+  /// outside the pool, the calling thread allocates it. The verdict is
+  /// get()'s: saturated when any batch saturates.
+  void warm(const CsrGraph& csr, Dist inf_value, Dist max_finite);
   /// Forgets the matrix (its storage is kept for the next snapshot). Must
   /// not run concurrently with get() or with readers of its result.
   void reset() noexcept {
@@ -169,6 +177,9 @@ class SharedApsp {
 
  private:
   enum : std::uint8_t { kUnbuilt, kReady, kSaturated };
+  /// Sizes the matrix and runs `fill` (true = fits) once; under mutex_.
+  template <typename Fill>
+  const Dist* build_once(Vertex n, Fill&& fill);
   std::mutex mutex_;  // guards state_ and matrix_
   std::uint8_t state_ = kUnbuilt;
   AlignedVec<Dist> matrix_;
@@ -179,30 +190,41 @@ extern template class SharedApsp<std::uint16_t>;
 
 /// Uniform row source of one agent scan at storage width `Dist`.
 ///
-/// Dense mode: begin() materializes the full masked matrix into the
-/// caller's slab — derived from `shared` when one is passed and it fits the
-/// width, else by one capped masked APSP. Budgeted mode: begin() opens a
-/// RowCache context; rows materialize on the first touch and live under the
-/// byte budget with block-LRU eviction. Adaptive mode: begin() opens a
-/// RowCache context (its budget is what the slab leaves of the lane share)
-/// and keeps the slab at hand; the row() or prefetch() that would take the
-/// context past rows_before_promotion(n) misses instead runs the dense APSP
-/// into the slab, and the provider serves that and every later row densely
+/// Dense mode with a usable `shared` base (the snapshot's unmasked APSP):
+/// begin() serves G − v BY REFERENCE. It lists the rows v's removal changes
+/// (simd::Kernels::affected_rows, column-parallel over the base), and row(x)
+/// returns base row x itself when x is not listed, else the row repaired
+/// into the slab (csr_row_without) on its first read. Such a row holds
+/// d(x, v) in column v, where the masked traversal holds ∞: scans pin that
+/// column of their neighbor fold and never read it. Dense mode without a
+/// usable base (none offered, or it saturates the width) runs one capped
+/// masked APSP into the slab. Budgeted mode: begin() opens a RowCache
+/// context; rows materialize on the first touch and live under the byte
+/// budget with block-LRU eviction. Adaptive mode: begin() opens a RowCache
+/// context (its budget is what the slab leaves of the lane share) and keeps
+/// the slab at hand; the row() or prefetch() that would take the context
+/// past rows_before_promotion(n) misses instead turns the context dense as
+/// above, and the provider serves that and every later row densely
 /// (storage() reads Dense from then on).
 ///
-/// In every mode row() returns exact distances of the masked snapshot
-/// (nullptr on width saturation — the caller redoes the scan wider; a
-/// promotion saturates when any row of the slab does), and a returned
-/// pointer stays valid until the next materializing call (dense pointers
-/// live until the next begin()).
+/// The dense width verdict is whole-matrix, as a full traversal's would be:
+/// when twice the largest finite entry of the rows of N(v) fits
+/// `max_finite`, no distance of G − v can exceed it; otherwise begin() (or
+/// the promotion) repairs every listed row up front. In every mode row()
+/// returns exact distances of the masked snapshot at every column but the
+/// masked vertex (nullptr on width saturation — the caller redoes the scan
+/// wider; a dense context saturates where any row of G − v does), and a
+/// returned pointer stays valid until the next materializing call (dense
+/// pointers live until the next begin()).
 template <typename Dist>
 class DistanceProvider {
  public:
   /// Prepares a scan context over `csr` with `masked_vertex` removed.
   /// Returns false on width saturation (dense mode only — the row-cache
   /// modes saturate lazily, at the failing row() / prefetch()). The slab
-  /// and `shared` (the snapshot's base APSP, or nullptr to traverse every
-  /// dense fill) must outlive the context.
+  /// (the dense matrix or the repaired rows) and `shared` (the snapshot's
+  /// base, or nullptr to traverse every dense fill) must outlive the
+  /// context.
   [[nodiscard]] bool begin(const CsrGraph& csr, Vertex masked_vertex, Dist inf_value,
                            Dist max_finite, RowStorage storage, std::uint64_t budget_bytes,
                            AlignedVec<Dist>& dense_slab, BatchBfsWorkspace& ws,
@@ -215,45 +237,70 @@ class DistanceProvider {
   /// Row of `source` in the current context; nullptr on width saturation.
   [[nodiscard]] const Dist* row(Vertex source, BatchBfsWorkspace& ws);
 
+  /// A row no entry of which exceeds row(source)'s, without repairing it:
+  /// the base row d_G(source, ·) ≤ d_{G−v}(source, ·) while `source` is an
+  /// unrepaired row of a by-reference context, else row(source) itself.
+  /// `exact` reports which (true: the row equals row(source)).
+  [[nodiscard]] const Dist* lower_row(Vertex source, BatchBfsWorkspace& ws, bool& exact);
+
   /// Batch-materializes missing rows (row-cache modes; dense mode is a
-  /// no-op — everything is already resident). False on saturation.
+  /// no-op — rows are resident or repaired on read). False on saturation.
   [[nodiscard]] bool prefetch(std::span<const Vertex> sources, BatchBfsWorkspace& ws);
 
   /// Row-cache-mode introspection (dense mode: trivially true / all rows).
   [[nodiscard]] bool resident(Vertex source) const;
 
+  /// The rows v's removal changes, ascending, in a by-reference context
+  /// (empty otherwise) — introspection for the differential suite.
+  [[nodiscard]] std::span<const Vertex> affected() const noexcept { return affected_; }
+
   /// The cache behind the row-cache modes (REQUIREs that the context is
   /// not dense) — residency introspection for the differential suite.
   [[nodiscard]] const RowCache<Dist>& cache() const;
   [[nodiscard]] RowCache<Dist>& cache();
-  /// Cache counters plus this provider's promotions and dense-slab fills,
-  /// regardless of mode (all-zero if no context ever opened).
+  /// Cache counters plus this provider's promotions, dense contexts and
+  /// repaired rows, regardless of mode (all-zero if no context ever opened).
   [[nodiscard]] RowCacheStats cache_stats() const noexcept {
     RowCacheStats stats = cache_.stats();
     stats.promotions = promotions_;
     stats.slabs_derived = slabs_derived_;
     stats.slabs_traversed = slabs_traversed_;
+    stats.rows_repaired = rows_repaired_;
     return stats;
   }
 
  private:
-  /// Fills the slab with the context's masked matrix (derived from the
-  /// shared APSP when it is usable, else one batched masked APSP) and
-  /// switches to dense mode. False on width saturation.
-  [[nodiscard]] bool fill_slab(BatchBfsWorkspace& ws);
+  /// Turns the context dense: by reference when the shared base is usable
+  /// (mask, then the whole-matrix width verdict), else one batched masked
+  /// APSP into the slab. False on width saturation.
+  [[nodiscard]] bool go_dense(BatchBfsWorkspace& ws);
   /// Adaptive mode: promotes when `missing` more misses would take the
   /// context past rows_before_promotion(n). False on width saturation.
   [[nodiscard]] bool promote_before(std::size_t missing, BatchBfsWorkspace& ws);
+  /// Repairs listed row x into the next slab slot (by-reference mode).
+  [[nodiscard]] const Dist* repair(Vertex x, BatchBfsWorkspace& ws);
+
+  /// slot_ entries of a by-reference context: the base row serves, or the
+  /// row is listed and not yet repaired; any other value is a slab slot.
+  static constexpr std::uint32_t kByReference = ~std::uint32_t{0};
+  static constexpr std::uint32_t kUnrepaired = kByReference - 1;
 
   RowStorage storage_ = RowStorage::Dense;
   const CsrGraph* csr_ = nullptr;
-  const Dist* dense_ = nullptr;
+  const Dist* dense_ = nullptr;  // the traversed slab (dense, no base)
+  const Dist* base_ = nullptr;   // the shared base (dense, by reference)
   AlignedVec<Dist>* slab_ = nullptr;
   SharedApsp<Dist>* shared_ = nullptr;
   Vertex masked_vertex_ = kNoVertex;
   Dist inf_value_ = 0;
   Dist max_finite_ = 0;
   Vertex n_ = 0;
+  std::vector<std::uint32_t> slot_;  // per row (by reference)
+  std::vector<Vertex> affected_;     // listed rows (by reference)
+  std::uint32_t slots_used_ = 0;
+  std::vector<const Dist*> kid_rows_;     // affected_rows operands
+  std::vector<const Dist*> parent_rows_;
+  std::vector<std::uint32_t> parent_off_;
   RowCache<Dist> cache_;
   bool cache_configured_ = false;
   std::uint64_t cache_budget_ = 0;
@@ -261,6 +308,7 @@ class DistanceProvider {
   std::uint64_t promotions_ = 0;
   std::uint64_t slabs_derived_ = 0;
   std::uint64_t slabs_traversed_ = 0;
+  std::uint64_t rows_repaired_ = 0;
 };
 
 extern template class DistanceProvider<std::uint8_t>;

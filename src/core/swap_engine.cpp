@@ -52,9 +52,9 @@ constexpr std::size_t words_for(std::uint32_t bits) {
   return (static_cast<std::size_t>(bits) + 63) / 64;
 }
 
-/// Coverage masks of one cover instance, scored from cached symmetric
-/// all-pairs rows: candidate w covers far element idx iff
-/// rows[far[idx]][w] < cap (i.e. d(w, far[idx]) + 2 ≤ ecc with
+/// Coverage masks of one cover instance, scored from symmetric all-pairs
+/// rows (`row_of(x)` returns row x): candidate w covers far element idx iff
+/// row_of(far[idx])[w] < cap (i.e. d(w, far[idx]) + 2 ≤ ecc with
 /// cap = ecc − 1). One collect_below per far vertex builds the masks
 /// column-sparse; the w-ascending harvest then reproduces the oracle's set
 /// order, empty-mask skipping, and (for insertions) its first-label dedup —
@@ -72,8 +72,8 @@ constexpr std::size_t words_for(std::uint32_t bits) {
 /// max|set| is read straight off the wmask popcounts, so triggering it costs
 /// one word scan. The largest set size is always reported via `max_set_out`
 /// so callers probing several k values can reapply the bound per k.
-template <typename Dist>
-void build_cover_sets(const Dist* rows, Vertex n, Vertex v, const Vertex* far,
+template <typename Dist, typename RowOf>
+void build_cover_sets(RowOf&& row_of, Vertex n, Vertex v, const Vertex* far,
                       std::uint32_t far_count, std::int32_t cap, bool dedup,
                       std::uint64_t budget, std::uint32_t* max_set_out,
                       AlignedVec<Vertex>& hits, std::vector<std::uint64_t>& wmask,
@@ -83,7 +83,7 @@ void build_cover_sets(const Dist* rows, Vertex n, Vertex v, const Vertex* far,
   wmask.assign(static_cast<std::size_t>(n) * words, 0);
   hits.resize(n);
   for (std::uint32_t idx = 0; idx < far_count; ++idx) {
-    const Dist* row = rows + static_cast<std::size_t>(far[idx]) * n;
+    const Dist* row = row_of(far[idx]);
     const std::uint32_t count = kern.collect_below(row, n, cap, /*skip=*/v, hits.data());
     for (std::uint32_t i = 0; i < count; ++i) {
       wmask[static_cast<std::size_t>(hits[i]) * words + idx / 64] |= std::uint64_t{1}
@@ -137,6 +137,7 @@ RowCacheStats SwapEngine::Scratch::row_cache_stats() const {
   out.promotions = a.promotions + b.promotions;
   out.slabs_derived = a.slabs_derived + b.slabs_derived;
   out.slabs_traversed = a.slabs_traversed + b.slabs_traversed;
+  out.rows_repaired = a.rows_repaired + b.rows_repaired;
   return out;
 }
 
@@ -211,6 +212,20 @@ SharedApsp<Dist>* SwapEngine::shared_apsp() const {
   }
 }
 
+void SwapEngine::warm_base(bool stop_at_first) const {
+  const Vertex n = csr_.num_vertices();
+  if (n == 0) return;
+  const DistWidth w = preferred_width();
+  if (budget_policy_.storage_for(n, w, stop_at_first) != RowStorage::Dense) return;
+  if (w == DistWidth::U8) {
+    if (SharedApsp<std::uint8_t>* shared = shared_apsp<std::uint8_t>()) {
+      shared->warm(csr_, engine_inf<std::uint8_t>(), engine_max_finite<std::uint8_t>());
+    }
+  } else if (SharedApsp<std::uint16_t>* shared = shared_apsp<std::uint16_t>()) {
+    shared->warm(csr_, engine_inf<std::uint16_t>(), engine_max_finite<std::uint16_t>());
+  }
+}
+
 template <typename Dist>
 bool SwapEngine::neighbor_fold_t(Vertex v, RowStorage storage, Scratch& s) const {
   constexpr Dist kInf = engine_inf<Dist>();
@@ -225,11 +240,11 @@ bool SwapEngine::neighbor_fold_t(Vertex v, RowStorage storage, Scratch& s) const
   for (const Vertex w : nbrs) s.is_nbr_[w] = 1;
 
   // Every row below is a row of G − v, the source-removal identity's
-  // traversal bill. Dense storage pays it up front into the scratch slab,
-  // repairing the snapshot's shared APSP where v's removal changes it;
-  // budgeted storage opens a row-cache context and pays per row on first
-  // touch; adaptive storage pays per row until the provider promotes
-  // itself to the slab.
+  // traversal bill. Dense storage reads the snapshot's shared APSP by
+  // reference and repairs a row only where v's removal changes it, on its
+  // first read; budgeted storage opens a row-cache context and pays per row
+  // on first touch; adaptive storage pays per row until the provider
+  // promotes itself to dense.
   auto& rows = s.rows<Dist>();
   auto& provider = rows.provider;
   if (!provider.begin(csr_, /*masked_vertex=*/v, kInf, engine_max_finite<Dist>(), storage,
@@ -254,10 +269,14 @@ bool SwapEngine::neighbor_fold_t(Vertex v, RowStorage storage, Scratch& s) const
     }
   }
   // With min1[v] pinned to 0, 1 + min1 is exactly d_G(v, ·) (source-removal
-  // identity at N' = N(v)). No masked row reaches v, so argmin_[v] stays
-  // kNoVertex and select_mrow copies the pinned 0 into every M^w too —
-  // whole-row combines need no special case for u = v.
+  // identity at N' = N(v)). Column v of a row served by reference holds
+  // d(z, v), not ∞, so the fold's entries there are pinned whole: with
+  // min2[v] = 0 and no argmin, select_mrow copies 0 into every M^w, every
+  // combine's min(M^w_v, c_v) is 0 whatever c_v holds, and the far and
+  // cover filters skip v — no kernel reads column v of a row.
   rows.min1[v] = 0;
+  rows.min2[v] = 0;
+  s.argmin_[v] = kNoVertex;
   return true;
 }
 
@@ -333,9 +352,21 @@ bool SwapEngine::scan_agent_t(Vertex v, UsageCost model, RowStorage storage, boo
           if (mm == kInfCost) continue;
           if (old_cost != kInfCost && mm >= old_cost + std::uint64_t{n} * a) continue;
         }
-        const Dist* c = provider.row(w2, s.bfs_);
+        // A row of G − v no shorter than the base row d_G(w₂, ·) it is
+        // repaired from: combined with the base row, the cost is a lower
+        // bound, exact when w₂'s row is unchanged. A bound that already
+        // meets the acceptance threshold (strict '<': the best so far, else
+        // old_cost) leaves the row unrepaired.
+        bool exact = true;
+        const Dist* c = provider.lower_row(w2, s.bfs_, exact);
         if (c == nullptr) return false;
-        const std::uint64_t new_cost = kern.combine_sum(m, c, n, kInf);
+        std::uint64_t new_cost = kern.combine_sum(m, c, n, kInf);
+        if (!exact) {
+          if (new_cost >= (best ? best->cost_after : old_cost)) continue;
+          c = provider.row(w2, s.bfs_);
+          if (c == nullptr) return false;
+          new_cost = kern.combine_sum(m, c, n, kInf);
+        }
         if (new_cost >= old_cost) continue;
         if (!best || new_cost < best->cost_after) {
           best = Deviation{{v, w, w2}, old_cost, new_cost, Deviation::Kind::ImprovingSwap};
@@ -474,6 +505,7 @@ EquilibriumCertificate SwapEngine::certify(UsageCost model, bool include_deletio
     std::uint64_t moves = 0;
   };
   std::vector<LaneCount> lane_moves(pool.size());
+  warm_base(/*stop_at_first=*/false);
   {
     std::vector<Scratch> scratch(pool.size());
     pool.parallel_for(n, 1, [&](std::uint64_t v, unsigned tid) {
@@ -543,7 +575,8 @@ void SwapEngine::insertion_report_t(const Dist* apsp, Vertex v, Vertex k_lo, Ver
   std::vector<std::vector<std::uint64_t>> sets;
   std::vector<Vertex> labels;
   std::uint32_t max_set = 0;
-  build_cover_sets(apsp, n, v, s.far_.data(), far_count, cap, /*dedup=*/true,
+  const auto row_of = [&](Vertex x) { return apsp + static_cast<std::size_t>(x) * n; };
+  build_cover_sets<Dist>(row_of, n, v, s.far_.data(), far_count, cap, /*dedup=*/true,
                    /*budget=*/k_hi, &max_set, s.hits_, s.masks_, sets, labels);
 
   for (Vertex k = std::max<Vertex>(k_lo, 1); k <= k_hi; ++k) {
@@ -661,16 +694,21 @@ bool SwapEngine::swap_stability_t(Vertex v, Vertex k, std::uint64_t old_ecc, Scr
   const Vertex deg = static_cast<Vertex>(nbrs.size());
   BNCG_REQUIRE(deg < 32, "swap-stability subset enumeration requires deg(v) < 32");
 
-  // One masked matrix of G − v serves every deletion subset D: (G − D) − v
-  // is G − v, so each subset only changes WHICH neighbor rows fold into v's
-  // post-deletion profile, never the rows themselves.
+  // One masked row source of G − v serves every deletion subset D: (G − D)
+  // − v is G − v, so each subset only changes WHICH neighbor rows fold into
+  // v's post-deletion profile, never the rows themselves. Column v of a
+  // row may hold d(x, v): the fold's column v only meets the far filter,
+  // which skips v, and cover masks skip v too.
   require_dense(width_of<Dist>());
   auto& rows = s.rows<Dist>();
-  if (!rows.provider.begin(csr_, /*masked_vertex=*/v, kInf, engine_max_finite<Dist>(),
-                           RowStorage::Dense, budget_policy_.lane_budget(), rows.apsp, s.bfs_,
-                           shared_apsp<Dist>())) {
+  auto& provider = rows.provider;
+  if (!provider.begin(csr_, /*masked_vertex=*/v, kInf, engine_max_finite<Dist>(),
+                      RowStorage::Dense, budget_policy_.lane_budget(), rows.apsp, s.bfs_,
+                      shared_apsp<Dist>())) {
     return false;
   }
+  // A dense context passed its width verdict in begin(): rows never fail.
+  const auto row_of = [&](Vertex x) { return provider.row(x, s.bfs_); };
   rows.arow.resize(n);
   s.far_.resize(n);
 
@@ -689,11 +727,11 @@ bool SwapEngine::swap_stability_t(Vertex v, Vertex k, std::uint64_t old_ecc, Scr
       std::fill(kd, kd + n, kInf);
       for (Vertex i = 0; i < deg; ++i) {
         if ((mask & (1u << i)) != 0) continue;
-        kern.min_fold(kd, rows.apsp.data() + static_cast<std::size_t>(nbrs[i]) * n, n);
+        kern.min_fold(kd, row_of(nbrs[i]), n);
       }
       const std::uint32_t far_count = kern.collect_above(
           kd, n, static_cast<std::int32_t>(old_ecc) - 2, /*skip=*/v, s.far_.data());
-      build_cover_sets(rows.apsp.data(), n, v, s.far_.data(), far_count, cover_cap,
+      build_cover_sets<Dist>(row_of, n, v, s.far_.data(), far_count, cover_cap,
                        /*dedup=*/false, /*budget=*/j, nullptr, s.hits_, s.masks_, sets, labels);
       if (const auto selection = cover_select(far_count, sets, j)) {
         out.stable = false;
@@ -732,17 +770,18 @@ bool SwapEngine::alpha_scan_t(Vertex v, const std::vector<std::uint8_t>& owned,
   // Unlike the basic-game scan, the α-game has ADD moves, so even an
   // isolated agent fills the masked matrix: an added edge v–w gives the profile
   // 1 + min(min1, c_w) (the source-removal identity over N(v) ∪ {w}). The
-  // α paths are dense-only, so every row below reads the slab directly.
+  // α paths are dense-only: their rows never fail once the fold's begin()
+  // passed its width verdict.
   require_dense(width_of<Dist>());
   if (!neighbor_fold_t<Dist>(v, RowStorage::Dense, s)) return false;
   auto& rows = s.rows<Dist>();
+  const auto row_of = [&](Vertex x) { return rows.provider.row(x, s.bfs_); };
   rows.mrow.resize(n);
 
   // Adds, ascending endpoint (the naive loop order).
   for (Vertex w = 0; w < n; ++w) {
     if (s.is_nbr_[w] != 0) continue;
-    const std::uint64_t usage = kern.combine_sum(
-        rows.min1.data(), rows.apsp.data() + static_cast<std::size_t>(w) * n, n, kInf);
+    const std::uint64_t usage = kern.combine_sum(rows.min1.data(), row_of(w), n, kInf);
     s.alpha_.push_back({AlphaCandidate::Kind::Add, w, 0, usage});
   }
 
@@ -755,8 +794,7 @@ bool SwapEngine::alpha_scan_t(Vertex v, const std::vector<std::uint8_t>& owned,
     s.alpha_.push_back({AlphaCandidate::Kind::Delete, w, 0, kern.combine_sum(m, m, n, kInf)});
     for (Vertex w2 = 0; w2 < n; ++w2) {
       if (s.is_nbr_[w2] != 0) continue;
-      const std::uint64_t usage =
-          kern.combine_sum(m, rows.apsp.data() + static_cast<std::size_t>(w2) * n, n, kInf);
+      const std::uint64_t usage = kern.combine_sum(m, row_of(w2), n, kInf);
       s.alpha_.push_back({AlphaCandidate::Kind::Swap, w, w2, usage});
     }
   }

@@ -15,9 +15,13 @@
 //     The all-pairs distances of the *vertex-masked* snapshot G−v therefore
 //     answer every (removed edge w, candidate w₂) pair of the agent. They
 //     are not traversed per agent: one (batched, bit-parallel) APSP of G
-//     itself is shared by every agent of the snapshot, and G−v's matrix is
-//     that copy with v blanked and only the pairs whose every shortest path
-//     runs through v repaired (csr_apsp_capped_without). With c_z = d_{G−v}(z,·) and M^w_u = min_{z ∈ N(v)∖{w}} c_{z,u}
+//     itself is shared by every agent of the snapshot, and G−v's rows are
+//     served from it by reference — a row is repaired (csr_row_without) only
+//     when v's removal changes it, and only when the scan reads it. The sum
+//     scan first combines with the unrepaired base row, a lower bound since
+//     d_G ≤ d_{G−v}, and repairs only the rows whose bound could still
+//     improve. With c_z = d_{G−v}(z,·) and
+//     M^w_u = min_{z ∈ N(v)∖{w}} c_{z,u}
 //     (built in O(n) per w from elementwise min/argmin/second-min over the
 //     neighbor rows):
 //       sum model: cost'(v) = (n−1) + Σ_u min(M^w_u, c_{w₂,u}),
@@ -34,10 +38,11 @@
 //
 // There is one scan body. Its rows come from a DistanceProvider
 // (core/dist_provider.hpp) whose storage mode the WidthAndBudgetPolicy
-// picks: one dense masked matrix per agent, a budgeted row cache, or — for
-// first-improvement scans — a row cache that promotes itself to the dense
-// slab once the scan has missed ⌈n/64⌉ rows without stopping. The mode
-// changes speed and memory, never results.
+// picks: dense rows of G − v (by reference from the shared base, or one
+// masked matrix per agent when the budget cannot hold the base), a budgeted
+// row cache, or — for first-improvement scans — a row cache that promotes
+// itself to dense once the scan has missed ⌈n/64⌉ rows without stopping.
+// The mode changes speed and memory, never results.
 //
 // The scan kernels are templated on the distance storage width
 // (graph/dist_width.hpp): on small-diameter instances the per-agent masked
@@ -46,9 +51,10 @@
 // storage choice: any agent whose masked sweep meets a distance the narrow
 // cap cannot represent is transparently redone at u16 (width_fallbacks()),
 // so results never depend on the width. The count follows the storage a
-// scan actually used: a dense sweep saturates where any row of G − v does,
-// a streamed one only where a row it read does, so an adaptive scan that
-// promotes can fall back where the same scan unpromoted would not.
+// scan actually used: a dense context saturates where any row of G − v
+// does (read or not — the provider's verdict is whole-matrix), a streamed
+// one only where a row it read does, so an adaptive scan that promotes can
+// fall back where the same scan unpromoted would not.
 //
 // Scans enumerate candidates in exactly the naive order and apply exactly
 // the naive acceptance rules, so engine results are bit-identical to the
@@ -60,8 +66,9 @@
 // and run_dynamics, hence Instance::equilibrate) run the engine at every n;
 // BNCG_FORCE_NAIVE=1 routes them to the oracles. Storage is the
 // WidthAndBudgetPolicy's decision, not a route: unbudgeted, a large-n full
-// scan allocates a dense n×n slab per lane (a first-improvement scan only
-// when it promotes), which BNCG_MEM_BUDGET bounds.
+// scan reads the shared n×n base plus the rows it repairs per lane (a
+// first-improvement scan only once it promotes), which BNCG_MEM_BUDGET
+// bounds.
 // The dense-only k-move and α-game paths refuse a budget below their slab
 // (DenseSlabRefused). The toggle does NOT route what builds a SwapEngine
 // explicitly: certify_sharded (hence Instance::certify),
@@ -71,6 +78,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
@@ -122,11 +130,12 @@ struct AlphaCandidate {
 /// Delta-evaluating swap scanner over an immutable CSR snapshot.
 class SwapEngine {
  public:
-  /// Per-thread scratch: the masked matrix of G − v (n×n, in the width the
-  /// scan runs at), the batched BFS workspace, and small per-agent marks.
-  /// Allocated once, reused for every scan; one instance per thread. Only
-  /// the width actually exercised allocates its matrix, so u8-preferring
-  /// engines that never fall back pay no u16 slab.
+  /// Per-thread scratch: the repaired rows of G − v (or its whole masked
+  /// matrix when no shared base serves it; in the width the scan runs at),
+  /// the batched BFS workspace, and small per-agent marks. Allocated once,
+  /// reused for every scan; one instance per thread. Only the width
+  /// actually exercised allocates rows, so u8-preferring engines that never
+  /// fall back pay no u16 storage.
   class Scratch {
    public:
     friend class SwapEngine;
@@ -141,16 +150,33 @@ class SwapEngine {
     [[nodiscard]] const DistanceProvider<std::uint16_t>& provider16() const noexcept {
       return rows16_.provider;
     }
-    /// Combined row-cache counters, promotions and dense-slab fills
-    /// (derived vs traversed) of both widths.
+    /// Combined row-cache counters, promotions, dense contexts (by
+    /// reference vs traversed) and repaired rows of both widths.
     [[nodiscard]] RowCacheStats row_cache_stats() const;
+
+    /// The last scan's neighbor fold at width Dist: min1, min2 and argmin
+    /// over N(v) — introspection for the column-v pin suite.
+    template <typename Dist>
+    struct FoldView {
+      std::span<const Dist> min1;
+      std::span<const Dist> min2;
+      std::span<const Vertex> argmin;
+    };
+    template <typename Dist>
+    [[nodiscard]] FoldView<Dist> fold_tables() const noexcept {
+      if constexpr (std::is_same_v<Dist, std::uint8_t>) {
+        return {rows8_.min1, rows8_.min2, argmin_};
+      } else {
+        return {rows16_.min1, rows16_.min2, argmin_};
+      }
+    }
 
    private:
     /// Width-typed row buffers of one scan. 64-byte-aligned storage: these
     /// are exactly the arrays the SIMD scan kernels stream over.
     template <typename Dist>
     struct Rows {
-      AlignedVec<Dist> apsp;  // all rows of G − v (dense mode)
+      AlignedVec<Dist> apsp;  // repaired rows of G − v, or all of them (dense)
       AlignedVec<Dist> min1;  // elementwise min over neighbor rows
       AlignedVec<Dist> min2;  // elementwise second min
       AlignedVec<Dist> mrow;  // M^w: min over N(v)∖{w}
@@ -233,6 +259,14 @@ class SwapEngine {
       Vertex v, UsageCost model, Scratch& scratch, bool include_deletions = false,
       std::uint64_t* moves_checked = nullptr) const;
 
+  /// Builds the snapshot's shared base APSP at the preferred width now, on
+  /// the process pool from the calling thread, when scans at that width
+  /// read it: their storage is dense (storage_for(n, w, stop_at_first)) and
+  /// the budget holds the base. Otherwise, and once built, a no-op. Call it
+  /// before a parallel sweep; without it the first lane to need the base
+  /// builds it serially.
+  void warm_base(bool stop_at_first) const;
+
   /// Exhaustive certificate over all agents (sum: swap stability; max: swap
   /// stability plus the strict-deletion clause when include_deletions).
   /// Parallel over agents on the process thread pool, one Scratch per lane;
@@ -293,21 +327,23 @@ class SwapEngine {
   /// Shared prologue of every masked-snapshot scan: marks v's closed
   /// neighborhood, opens the scratch's DistanceProvider on G − v in
   /// `storage` mode, and folds the neighbor rows into min1/min2/argmin with
-  /// min1[v] pinned to 0 (so 1 + min1 = d_G(v, ·)). False on width
-  /// saturation.
+  /// column v pinned (min1 = min2 = 0, no argmin: 1 + min1 = d_G(v, ·), and
+  /// no combine reads column v of a row). False on width saturation.
   template <typename Dist>
   [[nodiscard]] bool neighbor_fold_t(Vertex v, RowStorage storage, Scratch& scratch) const;
 
   /// The one width-typed basic-game scan body, over rows from the
-  /// DistanceProvider in the `storage` mode the policy chose (dense: G − v's
-  /// matrix in the slab, repaired from the shared APSP; budgeted: the row
-  /// cache under the per-lane byte budget; adaptive: the row cache until
-  /// ⌈n/64⌉ misses, then the slab). The agent's current cost derives from the
-  /// neighbor min-fold; the max model streams its far filter over far-vertex
-  /// rows (by symmetry d(f, w₂) = d(w₂, f)), largest M^w first, so only
-  /// proven improvers are combined; the sum model prunes candidates whose
-  /// triangle-inequality lower bound (Σ M^w − n·M^w_{w₂}) already meets the
-  /// old cost. Returns false — with `out` and the move count discarded by
+  /// DistanceProvider in the `storage` mode the policy chose (dense: rows of
+  /// G − v by reference from the shared APSP, repaired on read; budgeted:
+  /// the row cache under the per-lane byte budget; adaptive: the row cache
+  /// until ⌈n/64⌉ misses, then dense). The agent's current cost derives from
+  /// the neighbor min-fold; the max model streams its far filter over
+  /// far-vertex rows (by symmetry d(f, w₂) = d(w₂, f)), largest M^w first,
+  /// so only proven improvers are combined; the sum model prunes candidates
+  /// whose triangle-inequality lower bound (Σ M^w − n·M^w_{w₂}) already
+  /// meets the old cost, then combines with the provider's lower_row (the
+  /// base row of an unrepaired w₂) and repairs w₂ only when that bound beats
+  /// the acceptance threshold. Returns false — with `out` and the move count discarded by
   /// the caller — on width saturation (u8: the dispatcher redoes the agent
   /// at u16; budgeted u16: the instance exceeds the 16-bit encoding and the
   /// dispatcher fails loudly).
@@ -359,8 +395,9 @@ class SwapEngine {
   /// Shared across the const certify() path's threads; relaxed is enough
   /// for a monotone counter.
   mutable std::atomic<std::uint64_t> width_fallbacks_{0};
-  /// The snapshot's unmasked APSP per width, built by the first scan that
-  /// needs a dense slab (never at construction) and cleared by rebuild().
+  /// The snapshot's unmasked APSP per width, built by warm_base() or the
+  /// first scan that reads dense rows (never at construction) and cleared
+  /// by rebuild().
   mutable SharedApsp<std::uint8_t> shared8_;
   mutable SharedApsp<std::uint16_t> shared16_;
   Scratch scratch_;  // for the convenience overloads

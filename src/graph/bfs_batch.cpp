@@ -4,6 +4,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstring>
 #include <type_traits>
@@ -21,6 +22,10 @@ struct BatchBfsAccess {
   static std::vector<Vertex>& touched(BatchBfsWorkspace& ws) { return ws.touched_; }
   static std::vector<Vertex>& spare(BatchBfsWorkspace& ws) { return ws.spare_; }
   static std::vector<std::uint32_t>& stamp(BatchBfsWorkspace& ws) { return ws.stamp_; }
+  static std::vector<std::uint32_t>& repair_stamp(BatchBfsWorkspace& ws) {
+    return ws.repair_stamp_;
+  }
+  static std::uint32_t& repair_epoch(BatchBfsWorkspace& ws) { return ws.repair_epoch_; }
   template <typename Dist>
   static std::vector<Dist>& staging(BatchBfsWorkspace& ws) {
     if constexpr (std::is_same_v<Dist, std::uint8_t>) {
@@ -272,6 +277,28 @@ template <typename Dist>
   return true;
 }
 
+/// apsp_impl with one 64-source batch per pool task and one workspace per
+/// lane (batches write disjoint row blocks, so lanes never touch the same
+/// output bytes). False when any batch saturates.
+template <typename Dist>
+[[nodiscard]] bool apsp_pooled(const CsrGraph& g, Dist* rows, Dist inf_value, Dist max_finite) {
+  const Vertex n = g.num_vertices();
+  ThreadPool& pool = ThreadPool::global();
+  std::vector<BatchBfsWorkspace> ws(pool.size());
+  std::atomic<bool> fits{true};
+  pool.parallel_for((n + 63) / 64, /*grain=*/1, [&](std::uint64_t b, unsigned tid) {
+    const Vertex base = static_cast<Vertex>(b) * 64;
+    const Vertex count = std::min<Vertex>(64, n - base);
+    std::vector<Vertex> sources(count);
+    for (Vertex i = 0; i < count; ++i) sources[i] = base + i;
+    if (!batch_dispatch<Dist>(g, sources, MaskedEdge{}, rows + static_cast<std::size_t>(base) * n,
+                              n, ws[tid], kNoVertex, inf_value, max_finite)) {
+      fits.store(false, std::memory_order_relaxed);
+    }
+  });
+  return fits.load(std::memory_order_relaxed);
+}
+
 template <typename Dist>
 [[nodiscard]] bool apsp_rows_impl(const CsrGraph& g, std::span<const Vertex> sources,
                                   MaskedEdge mask, Dist* matrix, std::size_t stride,
@@ -295,22 +322,29 @@ template <typename Dist>
   return true;
 }
 
-/// Repairs row x of the G − v matrix in place. `base` is row x of the
-/// unmasked matrix (d(x, ·) in G), `row` its copy with v already blanked,
-/// and `dv` = d(x, v), finite. A vertex u is *dominated* when every shortest
-/// x–u path runs through v, i.e. when each of its BFS parents (neighbors one
-/// level closer to x) is v or dominated; exactly the dominated entries
-/// change. Level-order induction gives the rows that need any work: the
-/// shallowest dominated vertex has only v as parent, so a row is affected
-/// iff some child of v has v as its unique parent — the first loop's test.
-/// Stamps are per-row epochs (3·epoch = examined, +1 dominated, +2
-/// settled), so nothing is cleared between rows. Adds the number of
-/// dominated vertices to `*repaired` when given.
+/// Repairs row x of the G − v matrix in place (csr_row_without). `base` is
+/// row x of the unmasked matrix (d(x, ·) in G), `row` its copy, and `dv` =
+/// d(x, v), finite. A vertex u is *dominated* when every shortest x–u path
+/// runs through v, i.e. when each of its BFS parents (neighbors one level
+/// closer to x) is v or dominated; exactly the dominated entries change.
+/// Level-order induction gives the rows that need any work: the shallowest
+/// dominated vertex has only v as parent, so a row is affected iff some
+/// child of v has v as its unique parent — the first loop's test. Stamps
+/// are per-row epochs (3·epoch = examined, +1 dominated, +2 settled) in the
+/// workspace's repair stamps, so nothing is cleared between rows. Adds the
+/// number of dominated vertices to `*repaired` when given.
 template <typename Dist>
 [[nodiscard]] bool repair_row(const CsrGraph& g, const Dist* base, Vertex v, Vertex dv, Dist* row,
-                              BatchBfsWorkspace& ws, std::uint32_t& epoch, Dist inf_value,
-                              Dist max_finite, std::uint64_t* repaired) {
-  auto& stamp = BatchBfsAccess::stamp(ws);
+                              BatchBfsWorkspace& ws, Dist inf_value, Dist max_finite,
+                              std::uint64_t* repaired) {
+  auto& stamp = BatchBfsAccess::repair_stamp(ws);
+  std::uint32_t& epoch = BatchBfsAccess::repair_epoch(ws);
+  // Epochs only grow, so stamps of earlier rows (of any graph with this n)
+  // read "unexamined"; a new n or an exhausted epoch range starts over.
+  if (stamp.size() != g.num_vertices() || epoch >= 0x55555554u) {
+    stamp.assign(g.num_vertices(), 0);
+    epoch = 0;
+  }
   auto& dominated = BatchBfsAccess::queue(ws);
   dominated.clear();
   std::uint32_t examined = 0;
@@ -481,32 +515,21 @@ bool csr_apsp_capped(const CsrGraph& g, MaskedEdge mask, Dist* rows, BatchBfsWor
 }
 
 template <typename Dist>
-bool csr_apsp_capped_without(const CsrGraph& g, const Dist* full, Vertex v, Dist* rows,
-                             BatchBfsWorkspace& ws, Dist inf_value, Dist max_finite,
-                             std::uint64_t* repaired) {
+bool csr_row_without(const CsrGraph& g, const Dist* full_row, Vertex v, Dist* row,
+                     BatchBfsWorkspace& ws, Dist inf_value, Dist max_finite,
+                     std::uint64_t* repaired) {
   BNCG_REQUIRE(max_finite < inf_value, "max_finite must stay below inf_value");
-  const Vertex n = g.num_vertices();
-  BNCG_REQUIRE(v < n, "vertex id out of range");
-  BatchBfsAccess::stamp(ws).assign(n, 0);
-  std::uint32_t epoch = 0;
-  if (repaired != nullptr) *repaired = 0;
-  const std::size_t row_bytes = static_cast<std::size_t>(n) * sizeof(Dist);
-  for (Vertex x = 0; x < n; ++x) {
-    Dist* row = rows + static_cast<std::size_t>(x) * n;
-    if (x == v) {
-      std::fill(row, row + n, inf_value);  // the vertex is absent: all-∞ row
-      continue;
-    }
-    const Dist* base = full + static_cast<std::size_t>(x) * n;
-    std::memcpy(row, base, row_bytes);
-    row[v] = inf_value;
-    if (base[v] == inf_value) continue;  // v is outside x's component
-    if (!repair_row(g, base, v, Vertex{base[v]}, row, ws, epoch, inf_value, max_finite,
-                    repaired)) {
-      return false;
-    }
-  }
-  return true;
+  BNCG_REQUIRE(v < g.num_vertices(), "vertex id out of range");
+  std::copy(full_row, full_row + g.num_vertices(), row);
+  if (full_row[v] == inf_value) return true;  // v is outside x's component
+  return repair_row(g, full_row, v, Vertex{full_row[v]}, row, ws, inf_value, max_finite,
+                    repaired);
+}
+
+template <typename Dist>
+bool csr_apsp_capped_pooled(const CsrGraph& g, Dist* rows, Dist inf_value, Dist max_finite) {
+  BNCG_REQUIRE(max_finite < inf_value, "max_finite must stay below inf_value");
+  return apsp_pooled(g, rows, inf_value, max_finite);
 }
 
 template <typename Dist>
@@ -518,13 +541,16 @@ bool csr_apsp_rows_capped(const CsrGraph& g, std::span<const Vertex> sources, Ma
                         max_finite);
 }
 
-template bool csr_apsp_capped_without<std::uint8_t>(const CsrGraph&, const std::uint8_t*, Vertex,
-                                                    std::uint8_t*, BatchBfsWorkspace&,
-                                                    std::uint8_t, std::uint8_t, std::uint64_t*);
-template bool csr_apsp_capped_without<std::uint16_t>(const CsrGraph&, const std::uint16_t*,
-                                                     Vertex, std::uint16_t*, BatchBfsWorkspace&,
-                                                     std::uint16_t, std::uint16_t,
-                                                     std::uint64_t*);
+template bool csr_row_without<std::uint8_t>(const CsrGraph&, const std::uint8_t*, Vertex,
+                                            std::uint8_t*, BatchBfsWorkspace&, std::uint8_t,
+                                            std::uint8_t, std::uint64_t*);
+template bool csr_row_without<std::uint16_t>(const CsrGraph&, const std::uint16_t*, Vertex,
+                                             std::uint16_t*, BatchBfsWorkspace&, std::uint16_t,
+                                             std::uint16_t, std::uint64_t*);
+template bool csr_apsp_capped_pooled<std::uint8_t>(const CsrGraph&, std::uint8_t*, std::uint8_t,
+                                                   std::uint8_t);
+template bool csr_apsp_capped_pooled<std::uint16_t>(const CsrGraph&, std::uint16_t*,
+                                                    std::uint16_t, std::uint16_t);
 
 template bool csr_apsp_capped<std::uint8_t>(const CsrGraph&, MaskedEdge, std::uint8_t*,
                                             BatchBfsWorkspace&, Vertex, std::uint8_t,
@@ -544,24 +570,8 @@ template bool csr_apsp_rows_capped<std::uint16_t>(const CsrGraph&, std::span<con
 bool csr_apsp_wide(const CsrGraph& g, Vertex* rows) {
   const Vertex n = g.num_vertices();
   if (n == 0) return true;
-  const std::size_t stride = n;
-  const Vertex num_batches = (n + 63) / 64;
   constexpr Vertex kMaxFiniteWide = kInfDist - 1;  // distances < n: never saturates
-
-  // One 64-source batch per pool task, one workspace per lane (batches write
-  // disjoint row blocks, so lanes never touch the same output bytes).
-  ThreadPool& pool = ThreadPool::global();
-  std::vector<BatchBfsWorkspace> ws(pool.size());
-  pool.parallel_for(num_batches, /*grain=*/1, [&](std::uint64_t b, unsigned tid) {
-    const Vertex base = static_cast<Vertex>(b) * 64;
-    const Vertex count = std::min<Vertex>(64, n - base);
-    std::vector<Vertex> sources(count);
-    for (Vertex i = 0; i < count; ++i) sources[i] = base + i;
-    (void)batch_dispatch<Vertex>(g, sources, MaskedEdge{},
-                                 rows + static_cast<std::size_t>(base) * stride, stride, ws[tid],
-                                 kNoVertex, kInfDist, kMaxFiniteWide);
-  });
-
+  (void)apsp_pooled<Vertex>(g, rows, kInfDist, kMaxFiniteWide);
   const std::size_t total = static_cast<std::size_t>(n) * n;
   for (std::size_t i = 0; i < total; ++i) {
     if (rows[i] == kInfDist) return false;

@@ -42,8 +42,8 @@ namespace bncg {
 /// 16-bit distance sentinel for unreachable vertices.
 inline constexpr std::uint16_t kInfDist16 = 0xFFFF;
 
-/// Scratch buffers for batched traversals (and for the repair of
-/// `csr_apsp_capped_without`); reuse across calls (one per thread — not
+/// Scratch buffers for batched traversals (and for the row repair of
+/// `csr_row_without`); reuse across calls (one per thread — not
 /// thread-safe).
 class BatchBfsWorkspace {
  public:
@@ -60,6 +60,8 @@ class BatchBfsWorkspace {
   std::vector<Vertex> touched_;
   std::vector<Vertex> spare_;
   std::vector<std::uint32_t> stamp_;    // first-touch level stamps (push mode)
+  std::vector<std::uint32_t> repair_stamp_;  // csr_row_without's per-row epochs
+  std::uint32_t repair_epoch_ = 0;
 };
 
 /// Single-source queue BFS over the snapshot, skipping `mask` if active and
@@ -134,25 +136,35 @@ template <typename Dist>
                                    BatchBfsWorkspace& ws, Vertex masked_vertex,
                                    Dist inf_value, Dist max_finite);
 
-/// The matrix `csr_apsp_capped(g, {}, rows, ws, v, inf_value, max_finite)`
-/// would write — all distances of G − v — derived from `full`, the unmasked
-/// capped APSP of g at the same `inf_value` / `max_finite` (a call that
+/// Row x of G − v's matrix, derived from `full_row` = row x of the unmasked
+/// capped APSP of g at the same `inf_value` / `max_finite` (a fill that
 /// returned true). Removing v changes d(x, u) only when every shortest x–u
-/// path runs through v, so each row of `full` is copied, v's row and column
-/// are blanked to `inf_value`, and only the rows x whose BFS DAG gives some
-/// child of v no parent but v are repaired: the vertices all of whose
-/// parents are v or themselves affected are found in level order, then
-/// re-relaxed in nondecreasing distance from their unaffected neighbors
-/// (unreached ones stay `inf_value`). Returns false exactly when the masked
-/// traversal would: some repaired finite distance exceeds `max_finite`
-/// (unchanged entries are distances of g, which `full` proved fit). When
-/// `repaired` is given, it receives the number of entries re-derived:
-/// exactly the pairs (x, u), x, u ≠ v, whose distance v's removal changes.
-/// DESIGN.md §5, "Masked APSP by repair". Instantiated for u8 and u16.
+/// path runs through v, so the row is copied into `row` and only those
+/// entries are re-derived: the vertices all of whose BFS parents are v or
+/// themselves affected are found in level order, then re-relaxed in
+/// nondecreasing distance from their unaffected neighbors (unreached ones
+/// become `inf_value`). A row needs any work only when some child of v has
+/// v as its unique parent (simd::Kernels::affected_rows tests that for
+/// every x at once); every other row of G − v equals the base row.
+/// Column v keeps full_row[v] = d(x, v) where the masked traversal writes
+/// `inf_value`, and x = v yields `inf_value` at every other column.
+/// Returns false exactly when the masked traversal's row x would saturate:
+/// some repaired finite distance exceeds `max_finite`. When `repaired` is
+/// given, the number of entries re-derived is added to it: exactly the u ≠
+/// v whose distance from x v's removal changes. DESIGN.md §5, "Masked APSP
+/// by repair". Instantiated for u8 and u16.
 template <typename Dist>
-[[nodiscard]] bool csr_apsp_capped_without(const CsrGraph& g, const Dist* full, Vertex v,
-                                           Dist* rows, BatchBfsWorkspace& ws, Dist inf_value,
-                                           Dist max_finite, std::uint64_t* repaired = nullptr);
+[[nodiscard]] bool csr_row_without(const CsrGraph& g, const Dist* full_row, Vertex v, Dist* row,
+                                   BatchBfsWorkspace& ws, Dist inf_value, Dist max_finite,
+                                   std::uint64_t* repaired = nullptr);
+
+/// `csr_apsp_capped` with its 64-source batches spread over the process
+/// thread pool, one workspace per lane; called from outside the pool, the
+/// matrix and every buffer are allocated by the calling thread. Unmasked.
+/// Returns false when any batch saturates. Instantiated for u8 and u16.
+template <typename Dist>
+[[nodiscard]] bool csr_apsp_capped_pooled(const CsrGraph& g, Dist* rows, Dist inf_value,
+                                          Dist max_finite);
 
 /// Width-adaptive selective row refresh (`csr_apsp_rows` semantics) with the
 /// same saturation contract as `csr_apsp_capped`. On a false return the

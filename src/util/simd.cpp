@@ -172,6 +172,27 @@ std::uint32_t collect_absdiff_gt1_scalar(const Dist* ru, const Dist* rv, std::ui
   return count;
 }
 
+template <typename Dist>
+std::uint32_t affected_rows_scalar(const Dist* vrow, const Dist* const* kids,
+                                   const Dist* const* parents, const std::uint32_t* off,
+                                   std::uint32_t nkids, std::uint32_t n, Dist inf,
+                                   std::uint32_t* out) {
+  std::uint32_t count = 0;
+  for (std::uint32_t y = 0; y < n; ++y) {
+    const Dist dv = vrow[y];
+    if (dv >= inf) continue;
+    const Dist child = static_cast<Dist>(dv + 1);
+    bool hit = false;
+    for (std::uint32_t i = 0; i < nkids && !hit; ++i) {
+      if (kids[i][y] != child) continue;
+      hit = true;
+      for (std::uint32_t j = off[i]; j < off[i + 1] && hit; ++j) hit = parents[j][y] != dv;
+    }
+    if (hit) out[count++] = y;
+  }
+  return count;
+}
+
 std::uint64_t or_gather_scalar(const std::uint64_t* words, const std::uint32_t* idx,
                                std::size_t count) {
   std::uint64_t word = 0;
@@ -196,6 +217,7 @@ void fill_scalar(Kernels<Dist>& k) {
   k.min_fold = &min_fold_scalar<Dist>;
   k.collect_absdiff_eq1 = &collect_absdiff_eq1_scalar<Dist>;
   k.collect_absdiff_gt1 = &collect_absdiff_gt1_scalar<Dist>;
+  k.affected_rows = &affected_rows_scalar<Dist>;
 }
 
 // --------------------------------------------------------------- dispatch

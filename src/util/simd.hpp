@@ -177,6 +177,18 @@ struct Kernels {
   /// Changed-row filter (addition): every y with |ru[y] − rv[y]| > 1.
   std::uint32_t (*collect_absdiff_gt1)(const Dist* ru, const Dist* rv, std::uint32_t n,
                                        std::uint32_t* out);
+  /// The rows a vertex removal changes, by the unique-parent test run
+  /// column-parallel over symmetric base rows: appends (ascending) every y
+  /// with vrow[y] < inf for which some child i has kids[i][y] == vrow[y] + 1
+  /// (added in Dist) and none of its parent rows parents[off[i] ..
+  /// off[i + 1]) has parents[j][y] == vrow[y]. Returns the count; out must
+  /// hold n entries. With vrow = d(v, ·), kids the rows of N(v) and each
+  /// kid's parents the rows of N(c) ∖ {v}, y is listed iff v's removal
+  /// changes row y of the matrix (graph/bfs_batch.hpp, csr_row_without).
+  std::uint32_t (*affected_rows)(const Dist* vrow, const Dist* const* kids,
+                                 const Dist* const* parents, const std::uint32_t* off,
+                                 std::uint32_t nkids, std::uint32_t n, Dist inf,
+                                 std::uint32_t* out);
 };
 
 /// Kernels over the bit-parallel BFS's 64-bit frontier words.

@@ -38,6 +38,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 
 #include "util/simd.hpp"
 
@@ -329,6 +330,44 @@ struct Body {
     return collect_absdiff<false>(ru, rv, n, out);
   }
 
+  /// Lane bitmasks throughout: hit ⊆ reach, so a vector whose reachable
+  /// lanes are all hit skips its remaining children, and a child whose
+  /// candidate lanes all met another parent skips its remaining parents.
+  static u32 affected_rows(const Dist* vrow, const Dist* const* kids, const Dist* const* parents,
+                           const u32* off, u32 nkids, u32 n, Dist inf, u32* out) {
+    const vec one = W::set1(Dist{1});
+    const vec infv = W::set1(inf);
+    u32 count = 0;
+    u32 y = 0;
+    for (; y + L <= n; y += L) {
+      const vec dv = W::load(vrow + y);
+      const vec child = W::add(dv, one);
+      const auto reach = W::lt(dv, infv);
+      std::decay_t<decltype(reach)> hit = 0;
+      for (u32 i = 0; i < nkids && hit != reach; ++i) {
+        auto bits = W::eq(W::load(kids[i] + y), child) & reach & ~hit;
+        for (u32 j = off[i]; j < off[i + 1] && bits != 0; ++j) {
+          bits &= ~W::eq(W::load(parents[j] + y), dv);
+        }
+        hit |= bits;
+      }
+      count = compact<false>(hit, y, 0, out, count);
+    }
+    for (; y < n; ++y) {
+      const Dist dv = vrow[y];
+      if (dv >= inf) continue;
+      const Dist child = static_cast<Dist>(dv + 1);
+      bool hit = false;
+      for (u32 i = 0; i < nkids && !hit; ++i) {
+        if (kids[i][y] != child) continue;
+        hit = true;
+        for (u32 j = off[i]; j < off[i + 1] && hit; ++j) hit = parents[j][y] != dv;
+      }
+      if (hit) out[count++] = y;
+    }
+    return count;
+  }
+
   static void fill(Kernels<Dist>& k) {
     k.combine_sum = &combine_sum;
     k.combine_max = &combine_max;
@@ -345,6 +384,7 @@ struct Body {
     k.min_fold = &min_fold;
     k.collect_absdiff_eq1 = &collect_absdiff_eq1;
     k.collect_absdiff_gt1 = &collect_absdiff_gt1;
+    k.affected_rows = &affected_rows;
   }
 };
 

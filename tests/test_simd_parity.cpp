@@ -243,6 +243,60 @@ void fuzz_kernels_width(std::uint64_t seed) {
             });
       }
 
+      // --- affected-row mask -------------------------------------------------
+      // Kid entries hit vrow + 1 and parent entries hit vrow often enough
+      // that every outcome (no kid, an unparented kid, all kids parented)
+      // occurs; the definition itself is the reference for the scalar table.
+      const auto vrow_buf = rand_row<Dist>(rng, n + 3, inf, all_inf);
+      const Dist* vrow = vrow_buf.data() + off;
+      const std::uint32_t nkids = static_cast<std::uint32_t>(rng.below(5));
+      std::vector<std::vector<Dist>> kid_bufs, parent_bufs;
+      std::vector<std::uint32_t> parent_off{0};
+      for (std::uint32_t i = 0; i < nkids; ++i) {
+        auto kid = rand_row<Dist>(rng, n + 3, inf, false);
+        for (std::uint32_t y = 0; y < n; ++y) {
+          if (vrow[y] < inf && rng.below(2) == 0) kid[off + y] = static_cast<Dist>(vrow[y] + 1);
+        }
+        kid_bufs.push_back(std::move(kid));
+        const std::uint32_t parents = static_cast<std::uint32_t>(rng.below(4));
+        for (std::uint32_t j = 0; j < parents; ++j) {
+          auto parent = rand_row<Dist>(rng, n + 3, inf, false);
+          for (std::uint32_t y = 0; y < n; ++y) {
+            if (rng.below(3) == 0) parent[off + y] = vrow[y];
+          }
+          parent_bufs.push_back(std::move(parent));
+        }
+        parent_off.push_back(static_cast<std::uint32_t>(parent_bufs.size()));
+      }
+      std::vector<const Dist*> kids, parents;
+      for (const auto& buf : kid_bufs) kids.push_back(buf.data() + off);
+      for (const auto& buf : parent_bufs) parents.push_back(buf.data() + off);
+      std::vector<std::uint32_t> want_affected;
+      for (std::uint32_t y = 0; y < n; ++y) {
+        if (vrow[y] >= inf) continue;
+        bool hit = false;
+        for (std::uint32_t i = 0; i < nkids; ++i) {
+          bool unparented = kids[i][y] == static_cast<Dist>(vrow[y] + 1);
+          for (std::uint32_t j = parent_off[i]; j < parent_off[i + 1]; ++j) {
+            unparented = unparented && parents[j][y] != vrow[y];
+          }
+          hit = hit || unparented;
+        }
+        if (hit) want_affected.push_back(y);
+      }
+      const auto run_affected = [&] {
+        std::vector<std::uint32_t> out(n);
+        out.resize(simd::kernels<Dist>().affected_rows(vrow, kids.data(), parents.data(),
+                                                       parent_off.data(), nkids, n, inf,
+                                                       out.data()));
+        return out;
+      };
+      for_each_level([&] { EXPECT_EQ(run_affected(), want_affected) << ctx << " level=scalar"; },
+                     [&](SimdLevel level) {
+                       EXPECT_EQ(run_affected(), want_affected)
+                           << ctx << " level=" << simd_level_name(level);
+                     });
+
       // --- k-way min fold ---------------------------------------------------
       const auto fold_src = rand_row<Dist>(rng, n, inf, all_inf);
       const auto fold_base = rand_row<Dist>(rng, n, inf, false);
